@@ -6,10 +6,11 @@ projection examines D * (D - 1) incidence pairs while the grid method's
 work stays proportional to D.  Operation counts, not wall-clock time,
 are the metric; both are exactly reproducible.
 
-Grid-method ops per query: cursor-walk steps of each network actually
-built (components skipped + slots skipped + entries emitted) plus frame
-pair checks on the verdict path.  Projection ops: incidence pairs
-examined.  Queried components are the middle ones of each sequence.
+Grid-method ops per query are those of the paper's network procedure
+(``network_decide``): cursor-walk steps of each network actually built
+(components skipped + slots skipped + entries emitted) plus frame pair
+checks.  Projection ops: incidence pairs examined.  Queried components
+are the middle ones of each sequence.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import math
 import statistics
 from dataclasses import dataclass
 
-from .coincidence import OpCounter, decide
+from .coincidence import OpCounter, network_decide
 from .oracle import oracle_decide
 from .recurrence import sequence
 
@@ -60,7 +61,7 @@ def run_bench(max_exponent: int) -> BenchReport:
         p = big_d // 2
         q = (big_d - 1) // 2
         ops = OpCounter()
-        decide(x, y, p, q, ops=ops)
+        network_decide(x, y, p, q, ops=ops)
         oracle_ops = oracle_decide(x, y, p, q).comparisons
         rows.append(BenchRow(big_d, ops.steps, oracle_ops))
     durs = [r.max_dur for r in rows]

@@ -12,7 +12,7 @@ import json
 import sys
 
 from .bench import run_bench
-from .coincidence import create_network, decide, fired_theorems, first_coincidence
+from .coincidence import create_network, decide, fired_theorems, first_coincidence, network_entry
 from .intervals import CoincideError, Interval
 from .oracle import oracle_decide
 from .partition import build_gcd_partition
@@ -99,10 +99,9 @@ def _partition_obj(x: SequenceSpec, y: SequenceSpec) -> dict:
 
 
 def _fired_for(x, y, p, q, via) -> list[str]:
-    part = build_gcd_partition(x, y)
-    g = part.slot_dur
-    ex = next(e for e in create_network(x, g, p).entries if e.slot == via[0])
-    ey = next(e for e in create_network(y, g, q).entries if e.slot == via[1])
+    g = build_gcd_partition(x, y).slot_dur
+    ex = network_entry(x, g, p, via[0])
+    ey = network_entry(y, g, q, via[1])
     return sorted(fired_theorems(ex, x.components[p].dur, ey, y.components[q].dur, g))
 
 
@@ -318,14 +317,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CoincideError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # JSONDecodeError subclasses ValueError, so it must be caught first.
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON input: {exc}", file=sys.stderr)
+        return 2
+    except (CoincideError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

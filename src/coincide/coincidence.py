@@ -1,24 +1,31 @@
-"""Coincidence decision via per-period slot networks.
+"""Coincidence decision on the gcd slot grid.
 
-For a component p of sequence x, the network records how p's window sits
-on the slot grid within one period: which slots it positively overlaps,
-the basic relation to each, and the gap/common durations.  Those numbers
-are identical in every period, so one network per side plus the residue
-alignment of the grid decides whether the two components ever share a
-unit anywhere in the joint cycle.
+One residue-shift kernel answers ``decide``, ``first_coincidence`` and
+``enumerate_coincidences``.  Let ``a`` and ``b`` be the period-local
+starts of ``x[p]`` and ``y[q]``, ``c = b - a`` and ``g`` the slot size.
+Entry pair ``(r, s)``, one slot of each period that the component
+overlaps, overlaps in the shared slot frame iff ``m = r - s`` lies in
+``[lo, hi]`` with ``lo = floor((-d_y - c) / g) + 1`` and
+``hi = ceil((d_x - c) / g) - 1``.  So the verdict is O(1) arithmetic:
+the components coincide iff ``lo <= hi``.  Each admissible ``m`` shifts
+the y window by ``m * g + c`` against the x window and gives exactly one
+shared window per joint cycle; one modular inverse of R mod S, the CRT
+step of ``align_slot``, places it.  Witness and enumeration therefore
+cost one step per window, never one per slot.
 
-The closed-form test: pin both component windows to the frame of one
-shared slot (origin at the slot's start) and intersect them.  A battery
-of qualitative sufficient conditions over the same network data is kept
-alongside as an independently tested predicate set; it is not the
-production decision path.
+The paper's per-period slot networks, its network verdict procedure and
+the qualitative rule battery stay as the explanation layer (``check``
+reports the rules its witnessing slot pair fires) and as evidence for
+the reproduction (``bench`` counts the network procedure's operations,
+``verify`` censuses the battery).
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .intervals import CoincideError, Interval, Relation, allen_relation
-from .partition import GcdPartition, BadGcd, align_slot, build_gcd_partition
+from .partition import BadGcd, GcdPartition, build_gcd_partition
 from .recurrence import SequenceSpec, _check_index, validate
 
 # Relations meaning the slot lies fully inside the component window.  Any
@@ -78,39 +85,6 @@ class NoOverlap(CoincideError):
     """The window does not positively overlap the requested slot."""
 
 
-def create_network(
-    spec: SequenceSpec, g: int, p: int, ops: OpCounter | None = None
-) -> Network:
-    """Build the slot network of component ``p`` on a grid of ``g``-unit slots.
-
-    Entries cover exactly the slots ``a // g .. (a + d - 1) // g`` where
-    ``[a, a + d)`` is the component window; only those overlap it by at
-    least one unit.  When ``ops`` is given it is charged the cursor-walk
-    cost: one step per component skipped, per slot skipped, and per entry
-    emitted.
-    """
-    validate(spec)
-    _check_index(spec, p)
-    if g < 1 or spec.total_dur % g != 0:
-        raise BadGcd(f"slot duration {g} does not divide period {spec.total_dur}")
-    a = spec.offsets()[p]
-    d = spec.components[p].dur
-    first = a // g
-    last = (a + d - 1) // g
-    if ops is not None:
-        ops.add(p + first + (last - first + 1))
-    entries = []
-    for r in range(first, last + 1):
-        slot = Interval(r * g, g)
-        rel = allen_relation(Interval(a, d), slot)
-        left_gap = max(0, a - slot.start)
-        right_gap = max(0, slot.end - (a + d))
-        common_dur = min(a + d, slot.end) - max(a, slot.start)
-        entries.append(NetworkEntry(r, rel, left_gap, right_gap, common_dur))
-    flag = any(e.rel in SLOT_SUB_COMPONENT for e in entries)
-    return Network(p, tuple(entries), flag)
-
-
 @dataclass(frozen=True)
 class SlotFrameWindow:
     """A component window re-based to a slot's start.
@@ -139,6 +113,44 @@ def check_pair(wx: SlotFrameWindow, wy: SlotFrameWindow) -> bool:
     positive answer for the whole cycle.
     """
     return max(wx.lo, wy.lo) < min(wx.hi, wy.hi)
+
+
+def network_entry(spec: SequenceSpec, g: int, p: int, r: int) -> NetworkEntry:
+    """The entry of component ``p`` for period-local slot ``r`` of ``g`` units.
+
+    Raises NoOverlap when the component window shares no unit with the slot.
+    """
+    _check_index(spec, p)
+    a = spec.offsets()[p]
+    d = spec.components[p].dur
+    w = slot_frame_window(a, d, r, g)
+    rel = allen_relation(Interval(a, d), Interval(r * g, g))
+    return NetworkEntry(r, rel, max(0, w.lo), max(0, g - w.hi), min(w.hi, g) - max(w.lo, 0))
+
+
+def create_network(
+    spec: SequenceSpec, g: int, p: int, ops: OpCounter | None = None
+) -> Network:
+    """Build the slot network of component ``p`` on a grid of ``g``-unit slots.
+
+    Entries cover exactly the slots ``a // g .. (a + d - 1) // g`` where
+    ``[a, a + d)`` is the component window; only those overlap it by at
+    least one unit.  When ``ops`` is given it is charged the cursor-walk
+    cost: one step per component skipped, per slot skipped, and per entry
+    emitted.
+    """
+    validate(spec)
+    _check_index(spec, p)
+    if g < 1 or spec.total_dur % g != 0:
+        raise BadGcd(f"slot duration {g} does not divide period {spec.total_dur}")
+    a = spec.offsets()[p]
+    first = a // g
+    last = (a + spec.components[p].dur - 1) // g
+    if ops is not None:
+        ops.add(p + first + (last - first + 1))
+    entries = tuple(network_entry(spec, g, p, r) for r in range(first, last + 1))
+    flag = any(e.rel in SLOT_SUB_COMPONENT for e in entries)
+    return Network(p, entries, flag)
 
 
 def fired_theorems(
@@ -223,9 +235,11 @@ def fired_theorems(
 class Decision:
     """Outcome of a coincidence query.
 
-    ``witness`` is one maximal shared window in absolute cycle
-    coordinates, present only when ``coincides``.  ``via`` is the
-    period-local slot pair ``(r, s)`` whose alignment produces it.
+    ``witness`` is one shared window in absolute cycle coordinates: the
+    intersection of one incidence of each component, present only when
+    ``coincides``.  It need not be maximal, since a window can touch the
+    next one.  ``via`` is the period-local slot pair ``(r, s)`` whose
+    alignment produces it.
     """
 
     coincides: bool
@@ -233,110 +247,129 @@ class Decision:
     via: tuple[int, int] | None = None
 
 
-def _frames(
-    spec: SequenceSpec, p: int, net: Network, g: int
-) -> list[SlotFrameWindow]:
-    a = spec.offsets()[p]
-    d = spec.components[p].dur
-    return [slot_frame_window(a, d, e.slot, g) for e in net.entries]
+@dataclass(frozen=True)
+class _ShiftKernel:
+    """One query in residue-shift form; see the module docstring.
 
-
-def _scan_witness(
-    part: GcdPartition,
-    nx: Network,
-    frames_x: list[SlotFrameWindow],
-    ny: Network,
-    frames_y: list[SlotFrameWindow],
-) -> Decision:
-    g = part.slot_dur
-    for ex, wx in zip(nx.entries, frames_x):
-        for ey, wy in zip(ny.entries, frames_y):
-            if check_pair(wx, wy):
-                k = align_slot(part, ex.slot, ey.slot)
-                start = k * g + max(wx.lo, wy.lo)
-                end = k * g + min(wx.hi, wy.hi)
-                return Decision(True, Interval.from_endpoints(start, end), (ex.slot, ey.slot))
-    raise AssertionError("verdict was positive but no entry pair overlaps")
-
-
-def decide(
-    x: SequenceSpec, y: SequenceSpec, p: int, q: int, ops: OpCounter | None = None
-) -> Decision:
-    """Decide whether components ``x[p]`` and ``y[q]`` ever share a unit.
-
-    Verdict evaluation order: build the y-side network and accept on its
-    flag; otherwise build the x-side network and accept on its flag;
-    otherwise test every entry pair in the shared slot frame.  Without a
-    flag each network has at most two entries, so the pair scan is
-    constant-size.  When the verdict is positive the witness is taken
-    from the first overlapping entry pair in scan order (x entries outer,
-    y entries inner), regardless of which path produced the verdict.
-
-    ``ops`` (when given) is charged the verdict-path work only.
+    ``a``/``dx`` and ``b``/``dy`` are the period-local start and duration
+    of ``x[p]`` and ``y[q]``; entry pair ``(r, s)`` overlaps iff
+    ``lo <= r - s <= hi``.  ``inv`` is R^-1 mod S.
     """
+
+    part: GcdPartition
+    a: int
+    dx: int
+    b: int
+    dy: int
+    lo: int
+    hi: int
+    inv: int
+
+    def window(self, m: int) -> tuple[int, int]:
+        """``(start, end)`` of the one cycle window at slot difference ``m``."""
+        part = self.part
+        # x's period n meets y's period n' at this shift iff n'S - nR = m,
+        # so n = -m * R^-1 (mod S): the CRT step of align_slot.
+        n = (-m * self.inv) % part.slots_y
+        xs = n * part.slots_x * part.slot_dur + self.a
+        ys = xs + m * part.slot_dur + self.b - self.a
+        return max(xs, ys), min(xs + self.dx, ys + self.dy)
+
+    def windows(self) -> Iterator[tuple[int, int]]:
+        """Every shared window of one cycle, one per admissible ``m``, unsorted."""
+        return (self.window(m) for m in range(self.lo, self.hi + 1))
+
+
+def _shift_kernel(x: SequenceSpec, y: SequenceSpec, p: int, q: int) -> _ShiftKernel:
     validate(x)
     validate(y)
     _check_index(x, p)
     _check_index(y, q)
     part = build_gcd_partition(x, y)
     g = part.slot_dur
+    a, b = x.offsets()[p], y.offsets()[q]
+    dx, dy = x.components[p].dur, y.components[q].dur
+    c = b - a
+    lo = (-dy - c) // g + 1
+    hi = (dx - c - 1) // g
+    return _ShiftKernel(part, a, dx, b, dy, lo, hi, pow(part.slots_x, -1, part.slots_y))
 
-    ny = create_network(y, g, q, ops=ops)
-    nx: Network | None = None
-    if ny.flag:
-        coincides = True
-    else:
-        nx = create_network(x, g, p, ops=ops)
-        if nx.flag:
-            coincides = True
-        else:
-            frames_x = _frames(x, p, nx, g)
-            frames_y = _frames(y, q, ny, g)
-            coincides = False
-            for wx in frames_x:
-                for wy in frames_y:
-                    if ops is not None:
-                        ops.add(1)
-                    if check_pair(wx, wy):
-                        coincides = True
-                        break
-                if coincides:
-                    break
-    if not coincides:
+
+def decide(x: SequenceSpec, y: SequenceSpec, p: int, q: int) -> Decision:
+    """Decide whether components ``x[p]`` and ``y[q]`` ever share a unit.
+
+    The verdict is ``lo <= hi`` (module docstring).  The witness comes
+    from the first overlapping entry pair in the network scan order
+    (x entries outer, y entries inner, both ascending), found in O(1):
+    every admissible ``m`` is realized by some entry pair, so the first
+    row with an overlapping pair is ``r = max(fx, fy + lo)`` and its first
+    column is ``s = max(fy, r - hi)``, where ``fx`` and ``fy`` are the
+    first slots of each network.
+    """
+    k = _shift_kernel(x, y, p, q)
+    if k.lo > k.hi:
         return Decision(False)
-    if nx is None:
-        nx = create_network(x, g, p)
-    return _scan_witness(part, nx, _frames(x, p, nx, g), ny, _frames(y, q, ny, g))
+    g = k.part.slot_dur
+    fy = k.b // g
+    r = max(k.a // g, fy + k.lo)
+    s = max(fy, r - k.hi)
+    return Decision(True, Interval.from_endpoints(*k.window(r - s)), (r, s))
 
 
 def first_coincidence(x: SequenceSpec, y: SequenceSpec, p: int, q: int) -> Interval | None:
-    """Earliest maximal shared window of ``x[p]`` and ``y[q]`` in the cycle.
+    """Earliest shared window of ``x[p]`` and ``y[q]`` in the cycle.
 
-    Every overlapping entry pair is mapped through the slot alignment;
-    distinct pairs can land on the same window, so results are
-    deduplicated before taking the minimum start.  Returns None when the
-    components never coincide.
+    A window is the intersection of one incidence of each component, so
+    it can touch a neighbouring window.  Returns None when the components
+    never coincide.
+    """
+    first = min(_shift_kernel(x, y, p, q).windows(), default=None)
+    return None if first is None else Interval.from_endpoints(*first)
+
+
+def enumerate_coincidences(
+    x: SequenceSpec, y: SequenceSpec, p: int, q: int
+) -> tuple[Interval, ...]:
+    """Every shared window of ``x[p]`` and ``y[q]`` in one cycle, ascending.
+
+    Each window is the intersection of one incidence of each component;
+    windows never overlap but can touch, so they are not merged into
+    maximal runs.  Equal to ``oracle_decide(...).windows``.
+    """
+    spans = sorted(_shift_kernel(x, y, p, q).windows())
+    return tuple(Interval.from_endpoints(s, e) for s, e in spans)
+
+
+def network_decide(
+    x: SequenceSpec, y: SequenceSpec, p: int, q: int, ops: OpCounter | None = None
+) -> bool:
+    """The paper's network verdict procedure for ``x[p]`` and ``y[q]``.
+
+    Build the y-side network and accept on its flag; otherwise build the
+    x-side network and accept on its flag; otherwise test every entry
+    pair in the shared slot frame.  Without a flag each network has at
+    most two entries, so the pair scan is constant-size.  ``ops`` (when
+    given) is charged the network cursor walks and one step per pair test.
     """
     validate(x)
     validate(y)
     _check_index(x, p)
     _check_index(y, q)
-    part = build_gcd_partition(x, y)
-    g = part.slot_dur
-    nx = create_network(x, g, p)
-    ny = create_network(y, g, q)
-    frames_x = _frames(x, p, nx, g)
-    frames_y = _frames(y, q, ny, g)
-    windows: set[Interval] = set()
-    for ex, wx in zip(nx.entries, frames_x):
-        for ey, wy in zip(ny.entries, frames_y):
+    g = build_gcd_partition(x, y).slot_dur
+    ny = create_network(y, g, q, ops=ops)
+    if ny.flag:
+        return True
+    nx = create_network(x, g, p, ops=ops)
+    if nx.flag:
+        return True
+    ax, dx = x.offsets()[p], x.components[p].dur
+    ay, dy = y.offsets()[q], y.components[q].dur
+    frames_y = [slot_frame_window(ay, dy, e.slot, g) for e in ny.entries]
+    for ex in nx.entries:
+        wx = slot_frame_window(ax, dx, ex.slot, g)
+        for wy in frames_y:
+            if ops is not None:
+                ops.add(1)
             if check_pair(wx, wy):
-                k = align_slot(part, ex.slot, ey.slot)
-                windows.add(
-                    Interval.from_endpoints(
-                        k * g + max(wx.lo, wy.lo), k * g + min(wx.hi, wy.hi)
-                    )
-                )
-    if not windows:
-        return None
-    return min(windows, key=lambda w: w.start)
+                return True
+    return False

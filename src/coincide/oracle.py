@@ -5,6 +5,9 @@ intersect them pairwise.  One cycle suffices: every cycle repeats the
 same relative layout.  The reported ``comparisons`` figure is the cost
 of the projection, the number of incidence pairs examined, which is
 quadratic in the periods when their gcd is 1.
+
+The projection shares no code with the residue-shift kernel in
+``coincidence``; it only walks incidences, kept as plain integers.
 """
 from __future__ import annotations
 
@@ -12,38 +15,23 @@ from dataclasses import dataclass
 
 from .coincidence import Decision
 from .intervals import Interval
-from .recurrence import SequenceSpec, _check_index, cycle_duration, incidences_of, validate
+from .recurrence import SequenceSpec, _check_index, cycle_duration, validate
 
 
 @dataclass(frozen=True)
 class OracleReport:
     """Full projection outcome.
 
-    ``windows`` holds every maximal shared window in the cycle,
-    ascending and pairwise non-overlapping; ``comparisons`` counts the
+    ``windows`` holds every shared window in the cycle, ascending and
+    pairwise non-overlapping.  Each window is the intersection of one
+    incidence of each component, so neighbouring windows can touch: they
+    are not merged into maximal runs.  ``comparisons`` counts the
     incidence pairs a straight double loop examines.
     """
 
     decision: Decision
     windows: tuple[Interval, ...]
     comparisons: int
-
-
-def _intersections(xs: list[Interval], ys: list[Interval]) -> tuple[Interval, ...]:
-    # Both lists are sorted and internally non-overlapping, so a two-pointer
-    # sweep visits every intersecting pair once, in ascending order.
-    out = []
-    i = j = 0
-    while i < len(xs) and j < len(ys):
-        s = max(xs[i].start, ys[j].start)
-        e = min(xs[i].end, ys[j].end)
-        if s < e:
-            out.append(Interval.from_endpoints(s, e))
-        if xs[i].end <= ys[j].end:
-            i += 1
-        else:
-            j += 1
-    return tuple(out)
 
 
 def oracle_decide(x: SequenceSpec, y: SequenceSpec, p: int, q: int) -> OracleReport:
@@ -53,15 +41,26 @@ def oracle_decide(x: SequenceSpec, y: SequenceSpec, p: int, q: int) -> OracleRep
     _check_index(x, p)
     _check_index(y, q)
     cycle = cycle_duration(x, y)
-    xs = incidences_of(x, p, cycle)
-    ys = incidences_of(y, q, cycle)
-    windows = _intersections(xs, ys)
+    period_x, period_y = x.total_dur, y.total_dur
+    a, dx = x.offsets()[p], x.components[p].dur
+    b, dy = y.offsets()[q], y.components[q].dur
+    n_x, n_y = cycle // period_x, cycle // period_y
+    # Incidence i of x is [a + i*D_x, a + i*D_x + d_x), likewise for y.  Both
+    # lists are sorted and internally non-overlapping, so a two-pointer
+    # sweep visits every intersecting pair once, in ascending order.
+    windows = []
+    i = j = 0
+    xs, ys = a, b
+    while i < n_x and j < n_y:
+        s = max(xs, ys)
+        e = min(xs + dx, ys + dy)
+        if s < e:
+            windows.append(Interval.from_endpoints(s, e))
+        if xs + dx <= ys + dy:
+            i += 1
+            xs += period_x
+        else:
+            j += 1
+            ys += period_y
     witness = windows[0] if windows else None
-    return OracleReport(Decision(bool(windows), witness), windows, len(xs) * len(ys))
-
-
-def enumerate_coincidences(
-    x: SequenceSpec, y: SequenceSpec, p: int, q: int
-) -> tuple[Interval, ...]:
-    """All maximal shared windows of ``x[p]`` and ``y[q]`` in one cycle."""
-    return oracle_decide(x, y, p, q).windows
+    return OracleReport(Decision(bool(windows), witness), tuple(windows), n_x * n_y)

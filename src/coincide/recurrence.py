@@ -142,8 +142,10 @@ def resolve_component(spec: SequenceSpec, key: int | str) -> int:
     """Map a component index or name to an index.
 
     Names must be unique within the sequence to resolve; indices are
-    bounds-checked.
+    bounds-checked.  Booleans are rejected rather than read as 0 or 1.
     """
+    if isinstance(key, bool):
+        raise ComponentLookupError(f"component key must be an index or a name, got {key!r}")
     if isinstance(key, int):
         _check_index(spec, key)
         return key

@@ -72,8 +72,9 @@ def run_verification(
     report = VerifyReport(trials=trials, seed=seed)
     for t in range(trials):
         x, y = random_instance(rng, max_components, max_dur)
-        part = build_gcd_partition(x, y)
-        g = part.slot_dur
+        g = build_gcd_partition(x, y).slot_dur
+        if include_battery:
+            framed_x, framed_y = _framed_networks(x, g), _framed_networks(y, g)
         for p in range(x.length):
             for q in range(y.length):
                 report.pairs_checked += 1
@@ -92,19 +93,24 @@ def run_verification(
                         f"not among projection windows"
                     )
                 if include_battery:
-                    _battery_census(report, x, y, p, q, g)
+                    _battery_census(report, p, q, framed_x[p], framed_y[q], g)
     return report
 
 
-def _battery_census(report, x, y, p, q, g):
-    nx = create_network(x, g, p)
-    ny = create_network(y, g, q)
-    ax, dx = x.offsets()[p], x.components[p].dur
-    ay, dy = y.offsets()[q], y.components[q].dur
-    for ex in nx.entries:
-        wx = slot_frame_window(ax, dx, ex.slot, g)
-        for ey in ny.entries:
-            wy = slot_frame_window(ay, dy, ey.slot, g)
+def _framed_networks(spec, g):
+    """Per component: its duration and its network entries with their frame windows."""
+    out = []
+    for p, (a, comp) in enumerate(zip(spec.offsets(), spec.components)):
+        entries = create_network(spec, g, p).entries
+        out.append((comp.dur, [(e, slot_frame_window(a, comp.dur, e.slot, g)) for e in entries]))
+    return out
+
+
+def _battery_census(report, p, q, framed_x, framed_y, g):
+    dx, entries_x = framed_x
+    dy, entries_y = framed_y
+    for ex, wx in entries_x:
+        for ey, wy in entries_y:
             report.battery_pairs += 1
             fired = fired_theorems(ex, dx, ey, dy, g)
             overlap = check_pair(wx, wy)

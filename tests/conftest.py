@@ -32,6 +32,29 @@ def sequence_pairs(max_components: int = 8, max_dur: int = 16):
     )
 
 
+@st.composite
+def _split(draw, name: str, total: int, max_components: int):
+    k = draw(st.integers(min_value=1, max_value=min(total, max_components)))
+    cuts = draw(st.sets(st.integers(1, total - 1), min_size=k - 1, max_size=k - 1)) if k > 1 else ()
+    bounds = [0, *sorted(cuts), total]
+    return SequenceSpec(
+        name, tuple(Component(f"c{i}", e - s) for i, (s, e) in enumerate(zip(bounds, bounds[1:])))
+    )
+
+
+@st.composite
+def large_sequence_pairs(draw, max_g: int = 2**40, max_slots: int = 12, max_components: int = 5):
+    """Pairs with periods g*R and g*S: durations up to about 2^44, yet at
+    most R + S incidences per cycle, so projection stays cheap."""
+    g = draw(st.integers(min_value=1, max_value=max_g))
+    big_r = draw(st.integers(min_value=1, max_value=max_slots))
+    big_s = draw(st.integers(min_value=1, max_value=max_slots))
+    return (
+        draw(_split("x", g * big_r, max_components)),
+        draw(_split("y", g * big_s, max_components)),
+    )
+
+
 @pytest.fixture
 def weekday() -> SequenceSpec:
     return sequence(

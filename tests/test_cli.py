@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
 
+from coincide import oracle_decide, sequence
 from coincide.cli import main
 
 QUERIES = Path(__file__).resolve().parents[1] / "queries"
@@ -99,6 +101,23 @@ def test_check_rejects_garbage_json(capsys, tmp_path):
     path.write_text("{not json")
     code, _, err = run(capsys, "check", "--input", str(path))
     assert code == 2
+    assert "error" in err
+
+
+def test_check_invalid_json_message(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text("{not json")
+    code, _, err = run(capsys, "check", "--input", str(path))
+    assert code == 2
+    assert "invalid JSON input" in err
+
+
+def test_boolean_component_key_is_input_error(capsys, tmp_path):
+    doc = json.load(open(QUERIES / "factory.json"))
+    doc["p"] = True
+    code, out, err = run(capsys, "check", "--input", write_doc(tmp_path, doc))
+    assert code == 2
+    assert out == ""
     assert "error" in err
 
 
@@ -253,3 +272,42 @@ def test_ambiguous_name_is_input_error(capsys, tmp_path):
     code, _, err = run(capsys, "check", "--input", write_doc(tmp_path, doc))
     assert code == 2
     assert "ambiguous" in err
+
+
+def _long_component_doc(durs_x, durs_y):
+    return {
+        "x": {"name": "x", "components": [{"name": f"a{i}", "dur": d} for i, d in enumerate(durs_x)]},
+        "y": {"name": "y", "components": [{"name": f"b{i}", "dur": d} for i, d in enumerate(durs_y)]},
+        "p": 0,
+        "q": 0,
+    }
+
+
+def test_check_long_component_is_constant_time(capsys, tmp_path):
+    # g = 1 and a 10^6-unit component: a per-slot network walk here took
+    # seconds; the residue-shift verdict and the two fired entries do not.
+    durs_x, durs_y = (10**6, 1), (2, 1)
+    path = write_doc(tmp_path, _long_component_doc(durs_x, durs_y))
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "check", "--input", path, "--format", "json")
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    doc = json.loads(out)
+    rep = oracle_decide(sequence("x", *durs_x), sequence("y", *durs_y), 0, 0)
+    assert doc["coincides"] == rep.decision.coincides
+    assert doc["witness"] in [{"start": w.start, "end": w.end} for w in rep.windows]
+    assert elapsed < 2.0
+
+
+def test_witness_long_components_is_linear_in_windows(capsys, tmp_path):
+    # Two 3000-unit components on coprime periods: an all-entry-pairs scan
+    # here examined 9 million pairs.
+    durs_x, durs_y = (3000, 1), (3000, 2)
+    path = write_doc(tmp_path, _long_component_doc(durs_x, durs_y))
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "witness", "--input", path, "--format", "json")
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    first = oracle_decide(sequence("x", *durs_x), sequence("y", *durs_y), 0, 0).windows[0]
+    assert json.loads(out)["witness"] == {"start": first.start, "end": first.end}
+    assert elapsed < 2.0

@@ -19,10 +19,13 @@ from coincide import (
     fired_theorems,
     first_coincidence,
     incidences_of,
+    network_decide,
+    network_entry,
+    oracle_decide,
     sequence,
     slot_frame_window,
 )
-from .conftest import sequence_pairs
+from .conftest import large_sequence_pairs, sequence_pairs
 from .refimpl import naive_windows
 
 
@@ -108,6 +111,48 @@ def test_grid_verdict_matches_projection(pair):
                 assert d.witness in windows
             first = first_coincidence(x, y, p, q)
             assert first == (windows[0] if windows else None)
+
+
+def _assert_kernel_agrees(x, y):
+    for p in range(x.length):
+        for q in range(y.length):
+            rep = oracle_decide(x, y, p, q)
+            d = decide(x, y, p, q)
+            assert d.coincides == network_decide(x, y, p, q) == rep.decision.coincides
+            assert d.witness is None or d.witness in rep.windows
+            assert first_coincidence(x, y, p, q) == rep.decision.witness
+            assert enumerate_coincidences(x, y, p, q) == rep.windows
+
+
+@settings(deadline=None)
+@given(sequence_pairs(max_components=6, max_dur=12))
+def test_kernel_agrees_with_networks_and_projection(pair):
+    _assert_kernel_agrees(*pair)
+
+
+@settings(deadline=None)
+@given(large_sequence_pairs())
+def test_kernel_agrees_at_large_durations(pair):
+    _assert_kernel_agrees(*pair)
+
+
+def test_windows_are_per_incidence_pair_not_maximal():
+    # [0,2) [2,3) [3,4) [4,6) touch: each is one incidence pair's
+    # intersection, and touching windows are not merged
+    x = sequence("x", 3)
+    y = sequence("y", 2)
+    expected = (Interval(0, 2), Interval(2, 1), Interval(3, 1), Interval(4, 2))
+    assert enumerate_coincidences(x, y, 0, 0) == expected
+    assert oracle_decide(x, y, 0, 0).windows == expected
+    assert first_coincidence(x, y, 0, 0) == Interval(0, 2)
+
+
+def test_network_entry_rejects_bad_slot_or_index(pl1, pl2):
+    g = build_gcd_partition(pl1, pl2).slot_dur
+    with pytest.raises(NoOverlap):
+        network_entry(pl1, g, 0, 1)
+    with pytest.raises(IndexOutOfRange):
+        network_entry(pl1, g, 3, 0)
 
 
 @settings(deadline=None)

@@ -147,3 +147,10 @@ def test_resolve_component(machine):
     dup = sequence("dup", 1, 2, component_names=["A", "A"])
     with pytest.raises(ComponentLookupError):
         resolve_component(dup, "A")
+
+
+def test_resolve_component_rejects_bool(machine):
+    # bool is a subclass of int, so True would otherwise resolve to index 1
+    for key in (True, False):
+        with pytest.raises(ComponentLookupError):
+            resolve_component(machine, key)
