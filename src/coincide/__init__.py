@@ -11,17 +11,12 @@ from .intervals import (
     CoincideError,
     Derived,
     DisjointIntervals,
-    EmptyTimeMap,
     EqualIntervals,
     Interval,
-    NonContiguous,
-    NotMeeting,
     Relation,
     allen_relation,
     aux_intervals,
     common,
-    cover,
-    cover_star,
     holds,
 )
 from .recurrence import (
@@ -32,15 +27,12 @@ from .recurrence import (
     IndexOutOfRange,
     NonPositiveDuration,
     SequenceSpec,
-    component_window,
     cycle_duration,
     incidences_of,
     resolve_component,
     sequence,
-    unroll,
-    validate,
 )
-from .partition import BadGcd, GcdPartition, align_slot, build_gcd_partition, slot_interval
+from .partition import BadGcd, GcdPartition, align_slot, build_gcd_partition
 from .coincidence import (
     Decision,
     Network,
@@ -74,7 +66,6 @@ __all__ = [
     "Derived",
     "DisjointIntervals",
     "EmptySequence",
-    "EmptyTimeMap",
     "EqualIntervals",
     "GcdPartition",
     "IndexOutOfRange",
@@ -82,9 +73,7 @@ __all__ = [
     "Network",
     "NetworkEntry",
     "NoOverlap",
-    "NonContiguous",
     "NonPositiveDuration",
-    "NotMeeting",
     "OpCounter",
     "OracleReport",
     "Relation",
@@ -97,9 +86,6 @@ __all__ = [
     "build_gcd_partition",
     "check_pair",
     "common",
-    "component_window",
-    "cover",
-    "cover_star",
     "create_network",
     "cycle_duration",
     "decide",
@@ -114,7 +100,4 @@ __all__ = [
     "resolve_component",
     "sequence",
     "slot_frame_window",
-    "slot_interval",
-    "unroll",
-    "validate",
 ]

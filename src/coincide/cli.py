@@ -12,11 +12,17 @@ import json
 import sys
 
 from .bench import run_bench
-from .coincidence import create_network, decide, fired_theorems, first_coincidence, network_entry
+from .coincidence import (
+    create_network,
+    decide,
+    enumerate_coincidences,
+    fired_theorems,
+    first_coincidence,
+    network_entry,
+)
 from .intervals import CoincideError, Interval
-from .oracle import oracle_decide
 from .partition import build_gcd_partition
-from .recurrence import Component, SequenceSpec, cycle_duration, resolve_component, validate
+from .recurrence import Component, SequenceSpec, cycle_duration, resolve_component
 from .verify import run_verification
 
 
@@ -30,11 +36,8 @@ def _parse_sequence(obj, which: str) -> SequenceSpec:
     for idx, c in enumerate(comps):
         if not isinstance(c, dict) or "dur" not in c:
             raise ValueError(f"{which}.components[{idx}] must be an object with 'dur'")
-        dur = c["dur"]
-        if not isinstance(dur, int) or isinstance(dur, bool):
-            raise ValueError(f"{which}.components[{idx}].dur must be an integer")
-        parsed.append(Component(str(c.get("name", f"c{idx}")), dur))
-    return validate(SequenceSpec(str(obj.get("name", which)), tuple(parsed)))
+        parsed.append(Component(str(c.get("name", f"c{idx}")), c["dur"]))
+    return SequenceSpec(str(obj.get("name", which)), tuple(parsed))
 
 
 def _load_document(path: str) -> dict:
@@ -136,15 +139,16 @@ def cmd_witness(args) -> int:
 
 def cmd_enumerate(args) -> int:
     x, y, p, q, unit = _load_query(args)
-    rep = oracle_decide(x, y, p, q)
+    windows = enumerate_coincidences(x, y, p, q)
     doc = {
-        "coincides": rep.decision.coincides,
-        "witness": _interval_obj(rep.decision.witness) if rep.decision.witness else None,
-        "windows": [_interval_obj(w) for w in rep.windows],
+        "coincides": bool(windows),
+        "witness": _interval_obj(windows[0]) if windows else None,
+        "windows": [_interval_obj(w) for w in windows],
         "partition": _partition_obj(x, y),
         "cycle": cycle_duration(x, y),
-        "method": "oracle",
-        "comparisons": rep.comparisons,
+        "method": "gcd-partition",
+        # What projecting the cycle would cost: R * S incidence pairs.
+        "comparisons": build_gcd_partition(x, y).cycle_slots,
     }
     _emit(args, doc, unit)
     return 0
@@ -284,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp, needs_pq=True)
     sp.set_defaults(func=cmd_witness)
 
-    sp = sub.add_parser("enumerate", help="all shared windows via cycle projection")
+    sp = sub.add_parser("enumerate", help="all shared windows in the cycle, one per slot shift")
     add_common(sp, needs_pq=True)
     sp.set_defaults(func=cmd_enumerate)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .intervals import CoincideError, Interval, Relation, allen_relation
 from .partition import BadGcd, GcdPartition, build_gcd_partition
-from .recurrence import SequenceSpec, _check_index, validate
+from .recurrence import SequenceSpec, _check_index
 
 # Relations meaning the slot lies fully inside the component window.  Any
 # such entry guarantees a coincidence against every component of the other
@@ -128,26 +128,19 @@ def network_entry(spec: SequenceSpec, g: int, p: int, r: int) -> NetworkEntry:
     return NetworkEntry(r, rel, max(0, w.lo), max(0, g - w.hi), min(w.hi, g) - max(w.lo, 0))
 
 
-def create_network(
-    spec: SequenceSpec, g: int, p: int, ops: OpCounter | None = None
-) -> Network:
+def create_network(spec: SequenceSpec, g: int, p: int) -> Network:
     """Build the slot network of component ``p`` on a grid of ``g``-unit slots.
 
     Entries cover exactly the slots ``a // g .. (a + d - 1) // g`` where
     ``[a, a + d)`` is the component window; only those overlap it by at
-    least one unit.  When ``ops`` is given it is charged the cursor-walk
-    cost: one step per component skipped, per slot skipped, and per entry
-    emitted.
+    least one unit.
     """
-    validate(spec)
     _check_index(spec, p)
     if g < 1 or spec.total_dur % g != 0:
         raise BadGcd(f"slot duration {g} does not divide period {spec.total_dur}")
     a = spec.offsets()[p]
     first = a // g
     last = (a + spec.components[p].dur - 1) // g
-    if ops is not None:
-        ops.add(p + first + (last - first + 1))
     entries = tuple(network_entry(spec, g, p, r) for r in range(first, last + 1))
     flag = any(e.rel in SLOT_SUB_COMPONENT for e in entries)
     return Network(p, entries, flag)
@@ -281,8 +274,6 @@ class _ShiftKernel:
 
 
 def _shift_kernel(x: SequenceSpec, y: SequenceSpec, p: int, q: int) -> _ShiftKernel:
-    validate(x)
-    validate(y)
     _check_index(x, p)
     _check_index(y, q)
     part = build_gcd_partition(x, y)
@@ -349,17 +340,21 @@ def network_decide(
     x-side network and accept on its flag; otherwise test every entry
     pair in the shared slot frame.  Without a flag each network has at
     most two entries, so the pair scan is constant-size.  ``ops`` (when
-    given) is charged the network cursor walks and one step per pair test.
+    given) is charged the cursor walk of each network built, one step per
+    component skipped, per slot skipped and per entry emitted, and one
+    step per pair test.
     """
-    validate(x)
-    validate(y)
     _check_index(x, p)
     _check_index(y, q)
     g = build_gcd_partition(x, y).slot_dur
-    ny = create_network(y, g, q, ops=ops)
+    ny = create_network(y, g, q)
+    if ops is not None:
+        ops.add(q + ny.entries[0].slot + len(ny.entries))
     if ny.flag:
         return True
-    nx = create_network(x, g, p, ops=ops)
+    nx = create_network(x, g, p)
+    if ops is not None:
+        ops.add(p + nx.entries[0].slot + len(nx.entries))
     if nx.flag:
         return True
     ax, dx = x.offsets()[p], x.components[p].dur

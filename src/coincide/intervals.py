@@ -18,18 +18,6 @@ class DisjointIntervals(CoincideError):
     """The operation needs a shared subinterval but the operands have none."""
 
 
-class NotMeeting(CoincideError):
-    """The operation is only defined for a pair of meeting intervals."""
-
-
-class EmptyTimeMap(CoincideError):
-    """A time map with no intervals has no cover."""
-
-
-class NonContiguous(CoincideError):
-    """An adjacent pair in the time map does not meet."""
-
-
 class EqualIntervals(CoincideError):
     """Auxiliary intervals are undefined for two equal intervals."""
 
@@ -164,23 +152,6 @@ def common(i: Interval, j: Interval) -> Interval:
     if holds(Derived.DISJOINT, i, j):
         raise DisjointIntervals(f"{i} and {j} share no subinterval")
     return Interval.from_endpoints(max(i.start, j.start), min(i.end, j.end))
-
-
-def cover(i: Interval, j: Interval) -> Interval:
-    """Single interval spanning a meeting pair, ``i`` first."""
-    if allen_relation(i, j) is not Relation.MEETS:
-        raise NotMeeting(f"{i} does not meet {j}")
-    return Interval.from_endpoints(i.start, j.end)
-
-
-def cover_star(tm: list[Interval]) -> Interval:
-    """Single interval spanning a contiguous time map."""
-    if not tm:
-        raise EmptyTimeMap("cannot cover an empty time map")
-    for a, b in zip(tm, tm[1:]):
-        if allen_relation(a, b) is not Relation.MEETS:
-            raise NonContiguous(f"{a} does not meet {b}")
-    return Interval.from_endpoints(tm[0].start, tm[-1].end)
 
 
 @dataclass(frozen=True)

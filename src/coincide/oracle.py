@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .coincidence import Decision
 from .intervals import Interval
-from .recurrence import SequenceSpec, _check_index, cycle_duration, validate
+from .recurrence import SequenceSpec, _check_index, cycle_duration
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,6 @@ class OracleReport:
 
 def oracle_decide(x: SequenceSpec, y: SequenceSpec, p: int, q: int) -> OracleReport:
     """Decide by projecting one full cycle; the quadratic baseline."""
-    validate(x)
-    validate(y)
     _check_index(x, p)
     _check_index(y, q)
     cycle = cycle_duration(x, y)

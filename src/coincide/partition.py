@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .intervals import CoincideError, Interval
-from .recurrence import IndexOutOfRange, SequenceSpec, validate
+from .intervals import CoincideError
+from .recurrence import IndexOutOfRange, SequenceSpec
 
 
 class BadGcd(CoincideError):
@@ -43,8 +43,8 @@ class GcdPartition:
 
 def build_gcd_partition(x: SequenceSpec, y: SequenceSpec) -> GcdPartition:
     """Slot grid for the pair ``(x, y)``."""
-    dx = validate(x).total_dur
-    dy = validate(y).total_dur
+    dx = x.total_dur
+    dy = y.total_dur
     g = math.gcd(dx, dy)
     return GcdPartition(g, dx // g, dy // g)
 
@@ -64,9 +64,3 @@ def align_slot(part: GcdPartition, r: int, s: int) -> int:
     t = ((s - r) * inv) % big_s
     return r + big_r * t
 
-
-def slot_interval(part: GcdPartition, k: int) -> Interval:
-    """Absolute window of cycle slot ``k``."""
-    if not 0 <= k < part.cycle_slots:
-        raise IndexOutOfRange(f"cycle slot {k} out of range [0, {part.cycle_slots})")
-    return Interval(k * part.slot_dur, part.slot_dur)

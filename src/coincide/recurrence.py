@@ -1,4 +1,4 @@
-"""Fixed-duration recurring sequences and their unrolled incidence windows.
+"""Fixed-duration recurring sequences and their incidence windows.
 
 A sequence is an ordered list of named components, each lasting a fixed
 whole number of time units.  One pass through all components is a period;
@@ -9,7 +9,8 @@ All coordinates below are absolute offsets from that shared origin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .intervals import CoincideError, Interval
 
@@ -19,12 +20,12 @@ class EmptySequence(CoincideError):
 
 
 class NonPositiveDuration(CoincideError):
-    """A component duration was zero or negative."""
+    """A component duration was not a positive integer."""
 
-    def __init__(self, index: int, dur: int):
+    def __init__(self, index: int, dur: object):
         self.index = index
         self.dur = dur
-        super().__init__(f"component {index} has non-positive duration {dur}")
+        super().__init__(f"component {index}: duration must be a positive integer, got {dur!r}")
 
 
 class IndexOutOfRange(CoincideError):
@@ -51,43 +52,39 @@ class SequenceSpec:
 
     Component indices are 0-based throughout.  ``offsets()[p]`` is the
     start of component ``p`` within a period; ``total_dur`` is the
-    period length.
+    period length.  Both are computed once, when the spec is built, and
+    building one checks it: at least one component, and every duration a
+    positive integer (``bool`` is not accepted as one).
     """
 
     name: str
     components: tuple[Component, ...]
+    total_dur: int = field(init=False, compare=False, repr=False)
+    _offsets: tuple[int, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not self.components:
+            raise EmptySequence(f"sequence {self.name!r} has no components")
+        for idx, comp in enumerate(self.components):
+            dur = comp.dur
+            if not isinstance(dur, int) or isinstance(dur, bool) or dur < 1:
+                raise NonPositiveDuration(idx, dur)
+        ends = tuple(accumulate(c.dur for c in self.components))
+        object.__setattr__(self, "total_dur", ends[-1])
+        object.__setattr__(self, "_offsets", (0,) + ends[:-1])
 
     @property
     def length(self) -> int:
         return len(self.components)
 
-    @property
-    def total_dur(self) -> int:
-        return sum(c.dur for c in self.components)
-
     def offsets(self) -> tuple[int, ...]:
-        out = []
-        acc = 0
-        for c in self.components:
-            out.append(acc)
-            acc += c.dur
-        return tuple(out)
+        return self._offsets
 
 
 def sequence(name: str, *durs: int, component_names: list[str] | None = None) -> SequenceSpec:
     """Convenience constructor; components are named ``c0, c1, ...`` by default."""
     names = component_names or [f"c{i}" for i in range(len(durs))]
-    return validate(SequenceSpec(name, tuple(Component(n, d) for n, d in zip(names, durs))))
-
-
-def validate(spec: SequenceSpec) -> SequenceSpec:
-    """Return ``spec`` unchanged if it is well formed."""
-    if spec.length == 0:
-        raise EmptySequence(f"sequence {spec.name!r} has no components")
-    for idx, comp in enumerate(spec.components):
-        if comp.dur < 1:
-            raise NonPositiveDuration(idx, comp.dur)
-    return spec
+    return SequenceSpec(name, tuple(Component(n, d) for n, d in zip(names, durs)))
 
 
 def _check_index(spec: SequenceSpec, p: int) -> None:
@@ -96,26 +93,6 @@ def _check_index(spec: SequenceSpec, p: int) -> None:
             f"component index {p} out of range for sequence {spec.name!r} "
             f"with {spec.length} components (valid: 0..{spec.length - 1})"
         )
-
-
-def component_window(spec: SequenceSpec, p: int) -> Interval:
-    """Window of component ``p`` within one period, period-local coordinates."""
-    _check_index(spec, p)
-    return Interval(spec.offsets()[p], spec.components[p].dur)
-
-
-def unroll(spec: SequenceSpec, n: int) -> list[Interval]:
-    """Component windows of ``n`` consecutive periods, tiling ``[0, n * D)``."""
-    if n < 1:
-        raise ValueError(f"period count must be >= 1, got {n}")
-    validate(spec)
-    period = spec.total_dur
-    out = []
-    for i in range(n):
-        base = i * period
-        for off, comp in zip(spec.offsets(), spec.components):
-            out.append(Interval(base + off, comp.dur))
-    return out
 
 
 def incidences_of(spec: SequenceSpec, p: int, horizon: int) -> list[Interval]:
@@ -135,7 +112,7 @@ def incidences_of(spec: SequenceSpec, p: int, horizon: int) -> list[Interval]:
 
 def cycle_duration(x: SequenceSpec, y: SequenceSpec) -> int:
     """Length of the joint repeat of two sequences: lcm of their periods."""
-    return math.lcm(validate(x).total_dur, validate(y).total_dur)
+    return math.lcm(x.total_dur, y.total_dur)
 
 
 def resolve_component(spec: SequenceSpec, key: int | str) -> int:

@@ -58,20 +58,14 @@ class VerifyReport:
         return lines
 
 
-def run_verification(
-    trials: int,
-    seed: int,
-    max_components: int = 8,
-    max_dur: int = 16,
-    include_battery: bool = True,
-) -> VerifyReport:
+def run_verification(trials: int, seed: int, include_battery: bool = True) -> VerifyReport:
     """Check ``trials`` seeded random instances on every component pair."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = SplitMix64(seed)
     report = VerifyReport(trials=trials, seed=seed)
     for t in range(trials):
-        x, y = random_instance(rng, max_components, max_dur)
+        x, y = random_instance(rng)
         g = build_gcd_partition(x, y).slot_dur
         if include_battery:
             framed_x, framed_y = _framed_networks(x, g), _framed_networks(y, g)
@@ -137,14 +131,12 @@ class CommutativityReport:
         return self.verdict_disagreements == 0 and self.window_set_mismatches == 0
 
 
-def run_commutativity(
-    trials: int, seed: int, max_components: int = 8, max_dur: int = 16
-) -> CommutativityReport:
+def run_commutativity(trials: int, seed: int) -> CommutativityReport:
     """Check that swapping the two sequences never changes the answer."""
     rng = SplitMix64(seed)
     report = CommutativityReport(trials=trials, seed=seed)
     for _ in range(trials):
-        x, y = random_instance(rng, max_components, max_dur)
+        x, y = random_instance(rng)
         for p in range(x.length):
             for q in range(y.length):
                 report.pairs_checked += 1

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from coincide import oracle_decide, sequence
+from coincide import oracle_decide, resolve_component, sequence
 from coincide.cli import main
 
 QUERIES = Path(__file__).resolve().parents[1] / "queries"
@@ -96,6 +96,20 @@ def test_check_rejects_bad_duration(capsys, tmp_path):
     assert "duration" in err
 
 
+@pytest.mark.parametrize("dur", [2.5, True, "3"])
+def test_check_rejects_non_integer_duration(capsys, tmp_path, dur):
+    doc = {
+        "x": {"name": "x", "components": [{"name": "a", "dur": dur}]},
+        "y": {"name": "y", "components": [{"name": "b", "dur": 1}]},
+        "p": 0,
+        "q": 0,
+    }
+    code, out, err = run(capsys, "check", "--input", write_doc(tmp_path, doc))
+    assert code == 2
+    assert out == ""
+    assert "component 0: duration must be a positive integer" in err
+
+
 def test_check_rejects_garbage_json(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -150,13 +164,47 @@ def test_enumerate_factory(capsys, factory_path):
     code, out, _ = run(capsys, "enumerate", "--input", factory_path, "--format", "json")
     assert code == 0
     doc = json.loads(out)
-    assert doc["method"] == "oracle"
+    assert doc["method"] == "gcd-partition"
     assert doc["windows"] == [
         {"start": 23, "end": 24},
         {"start": 30, "end": 31},
         {"start": 37, "end": 38},
     ]
     assert doc["comparisons"] == 56
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in QUERIES.glob("*.json")))
+def test_enumerate_equals_projection(capsys, name):
+    path = QUERIES / name
+    code, out, _ = run(capsys, "enumerate", "--input", str(path), "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    query = json.loads(path.read_text())
+    x, y = (
+        sequence(side, *[c["dur"] for c in query[side]["components"]],
+                 component_names=[c["name"] for c in query[side]["components"]])
+        for side in ("x", "y")
+    )
+    rep = oracle_decide(x, y, resolve_component(x, query["p"]), resolve_component(y, query["q"]))
+    spans = [{"start": w.start, "end": w.end} for w in rep.windows]
+    assert doc["coincides"] == rep.decision.coincides
+    assert doc["witness"] == (spans[0] if spans else None)
+    assert doc["windows"] == spans
+    assert doc["comparisons"] == rep.comparisons
+
+
+def test_enumerate_huge_cycle_answers_from_the_kernel(capsys, tmp_path):
+    # Coprime periods near 10^9: the joint cycle is about 10^18 units, far
+    # too long to project, but it holds a single shared window.
+    path = write_doc(tmp_path, _long_component_doc((1, 999_999_999), (1, 999_999_998)))
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "enumerate", "--input", path, "--format", "json")
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["windows"] == [{"start": 0, "end": 1}]
+    assert doc["comparisons"] == 999_999_999_000_000_000
+    assert elapsed < 2.0
 
 
 def test_enumerate_production_line(capsys):

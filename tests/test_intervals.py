@@ -9,17 +9,12 @@ from coincide import (
     AuxEntry,
     Derived,
     DisjointIntervals,
-    EmptyTimeMap,
     EqualIntervals,
     Interval,
-    NonContiguous,
-    NotMeeting,
     Relation,
     allen_relation,
     aux_intervals,
     common,
-    cover,
-    cover_star,
     holds,
 )
 from .conftest import intervals
@@ -127,30 +122,6 @@ def test_common_maximality_exhaustive():
         for m1 in universe:
             if m1 != m and holds(Derived.SUB, m, m1):
                 assert not (holds(Derived.SUB, m1, i) and holds(Derived.SUB, m1, j))
-
-
-def test_cover_examples():
-    assert cover(iv(0, 2), iv(2, 5)) == iv(0, 5)
-    with pytest.raises(NotMeeting):
-        cover(iv(0, 2), iv(3, 5))
-    with pytest.raises(NotMeeting):
-        cover(iv(0, 2), iv(1, 5))
-
-
-def test_cover_star_examples():
-    assert cover_star([iv(0, 2), iv(2, 5), iv(5, 6)]) == iv(0, 6)
-    assert cover_star([iv(3, 7)]) == iv(3, 7)
-    with pytest.raises(NonContiguous):
-        cover_star([iv(0, 2), iv(3, 5)])
-    with pytest.raises(EmptyTimeMap):
-        cover_star([])
-
-
-@given(intervals(), intervals())
-def test_cover_star_matches_cover(i, j):
-    if allen_relation(i, j) is not Relation.MEETS:
-        return
-    assert cover_star([i, j]) == cover(i, j)
 
 
 def test_aux_intervals_examples():

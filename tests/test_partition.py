@@ -11,10 +11,8 @@ from coincide import (
     Interval,
     align_slot,
     build_gcd_partition,
-    component_window,
     cycle_duration,
     sequence,
-    slot_interval,
 )
 from .conftest import sequence_pairs
 from .refimpl import scan_align
@@ -43,13 +41,6 @@ def test_align_range_errors():
         align_slot(part, 7, 0)
     with pytest.raises(IndexOutOfRange):
         align_slot(part, 0, 8)
-
-
-def test_slot_interval():
-    assert slot_interval(GcdPartition(1, 7, 8), 37) == Interval(37, 1)
-    assert slot_interval(GcdPartition(4, 2, 1), 0) == Interval(0, 4)
-    with pytest.raises(IndexOutOfRange):
-        slot_interval(GcdPartition(4, 2, 1), 2)
 
 
 @given(sequence_pairs())
@@ -96,7 +87,7 @@ def test_every_component_overlaps_a_slot(pair):
     g = part.slot_dur
     for spec in (x, y):
         for p in range(spec.length):
-            w = component_window(spec, p)
+            w = Interval(spec.offsets()[p], spec.components[p].dur)
             r = w.start // g
             slot = Interval(r * g, g)
             assert max(w.start, slot.start) < min(w.end, slot.end)

@@ -5,6 +5,7 @@ from hypothesis import given
 
 from coincide import (
     BadHorizon,
+    CoincideError,
     Component,
     ComponentLookupError,
     Derived,
@@ -13,22 +14,17 @@ from coincide import (
     Interval,
     NonPositiveDuration,
     SequenceSpec,
-    component_window,
-    cover_star,
     cycle_duration,
     holds,
     incidences_of,
     resolve_component,
     sequence,
-    unroll,
-    validate,
 )
-from coincide.intervals import Relation, allen_relation
 from .conftest import sequence_specs
 
 
-def test_validate_ok(machine):
-    spec = validate(machine)
+def test_validate_ok():
+    spec = SequenceSpec("machine", (Component("Working", 5), Component("Rest", 3)))
     assert spec.total_dur == 8
     assert spec.length == 2
     assert spec.offsets() == (0, 5)
@@ -36,30 +32,27 @@ def test_validate_ok(machine):
 
 def test_validate_empty():
     with pytest.raises(EmptySequence):
-        validate(SequenceSpec("empty", ()))
+        SequenceSpec("empty", ())
 
 
 def test_validate_non_positive_duration():
     with pytest.raises(NonPositiveDuration) as exc:
-        validate(SequenceSpec("bad", (Component("A", 0),)))
+        SequenceSpec("bad", (Component("A", 0),))
     assert exc.value.index == 0
 
 
-def test_component_window(machine, weekday):
-    assert component_window(machine, 1) == Interval(5, 3)
-    assert component_window(weekday, 2) == Interval(2, 1)
-    with pytest.raises(IndexOutOfRange):
-        component_window(machine, 2)
+@pytest.mark.parametrize("dur", [2.5, True, "3"])
+def test_rejects_non_integer_duration(dur):
+    # Unchecked, 2.5 makes a 3.5-unit period that fails later with a bare
+    # TypeError, and True passes as a 1-unit duration.
+    with pytest.raises(CoincideError, match="component 0: duration must be a positive integer"):
+        sequence("x", dur, 1)
 
 
-def test_unroll_examples(machine, weekday):
-    assert unroll(machine, 1) == [Interval(0, 5), Interval(5, 3)]
-    week2 = unroll(weekday, 2)
-    assert len(week2) == 14
-    assert all(w.dur == 1 for w in week2)
-    assert cover_star(week2) == Interval(0, 14)
-    pl2 = sequence("PL-2", 2, 2)
-    assert unroll(pl2, 2) == [Interval(0, 2), Interval(2, 2), Interval(4, 2), Interval(6, 2)]
+def test_derived_fields_leave_equality_hash_and_repr_alone(machine):
+    twin = SequenceSpec("machine", machine.components)
+    assert twin == machine and hash(twin) == hash(machine)
+    assert repr(twin) == f"SequenceSpec(name='machine', components={machine.components!r})"
 
 
 def test_incidences_examples(machine, weekday):
@@ -83,13 +76,6 @@ def test_cycle_duration_examples(machine, weekday):
     assert cycle_duration(weekday, machine) == 56
     assert cycle_duration(sequence("a", 8), sequence("b", 4)) == 8
     assert cycle_duration(sequence("a", 7), sequence("b", 3, 4)) == 7
-
-
-@given(sequence_specs())
-def test_unroll_tiles_contiguously(spec):
-    tm = unroll(spec, 3)
-    assert tm[0].start == 0
-    assert cover_star(tm) == Interval(0, 3 * spec.total_dur)
 
 
 @given(sequence_specs(max_components=5, max_dur=8))
@@ -121,20 +107,6 @@ def test_incidences_have_fixed_duration_and_spacing(spec):
 @given(sequence_specs())
 def test_first_incidence_of_first_component_starts_at_zero(spec):
     assert incidences_of(spec, 0, spec.total_dur)[0].start == 0
-
-
-@given(sequence_specs(max_components=4, max_dur=6))
-def test_two_periods_repeat_the_same_pattern(spec):
-    one = unroll(spec, 1)
-    two = unroll(spec, 2)
-    shifted = two[spec.length:]
-    big_d = spec.total_dur
-    assert [Interval(w.start - big_d, w.dur) for w in shifted] == one
-    # the relation pattern of adjacent windows repeats identically
-    rels_first = [allen_relation(a, b) for a, b in zip(one, one[1:])]
-    rels_second = [allen_relation(a, b) for a, b in zip(shifted, shifted[1:])]
-    assert rels_first == rels_second
-    assert all(r is Relation.MEETS for r in rels_first)
 
 
 def test_resolve_component(machine):
