@@ -35,30 +35,33 @@ class OracleReport:
 
 
 def oracle_decide(x: SequenceSpec, y: SequenceSpec, p: int, q: int) -> OracleReport:
-    """Decide by projecting one full cycle; the quadratic baseline."""
+    """Decide by projecting one full cycle; the quadratic baseline.
+
+    Incidence ``i`` of ``x[p]`` is ``[a + i*D_x, a + i*D_x + d_x)``,
+    likewise for ``y[q]``.  Both lists are sorted and internally
+    non-overlapping, so a two-pointer sweep over their start and end
+    coordinates, kept as plain ints, visits every intersecting pair once,
+    in ascending order; only the shared windows become ``Interval``s.
+    """
     _check_index(x, p)
     _check_index(y, q)
     cycle = cycle_duration(x, y)
     period_x, period_y = x.total_dur, y.total_dur
-    a, dx = x.offsets()[p], x.components[p].dur
-    b, dy = y.offsets()[q], y.components[q].dur
-    n_x, n_y = cycle // period_x, cycle // period_y
-    # Incidence i of x is [a + i*D_x, a + i*D_x + d_x), likewise for y.  Both
-    # lists are sorted and internally non-overlapping, so a two-pointer
-    # sweep visits every intersecting pair once, in ascending order.
+    xs, ys = x.offsets()[p], y.offsets()[q]
+    xe, ye = xs + x.components[p].dur, ys + y.components[q].dur
+    x_stop, y_stop = xs + cycle, ys + cycle
     windows = []
-    i = j = 0
-    xs, ys = a, b
-    while i < n_x and j < n_y:
-        s = max(xs, ys)
-        e = min(xs + dx, ys + dy)
+    while xs < x_stop and ys < y_stop:
+        s = xs if xs > ys else ys
+        e = xe if xe < ye else ye
         if s < e:
-            windows.append(Interval.from_endpoints(s, e))
-        if xs + dx <= ys + dy:
-            i += 1
+            windows.append(Interval(s, e - s))
+        if xe <= ye:
             xs += period_x
+            xe += period_x
         else:
-            j += 1
             ys += period_y
+            ye += period_y
     witness = windows[0] if windows else None
-    return OracleReport(Decision(bool(windows), witness), tuple(windows), n_x * n_y)
+    comparisons = (cycle // period_x) * (cycle // period_y)
+    return OracleReport(Decision(bool(windows), witness), tuple(windows), comparisons)

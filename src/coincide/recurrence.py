@@ -53,8 +53,9 @@ class SequenceSpec:
     Component indices are 0-based throughout.  ``offsets()[p]`` is the
     start of component ``p`` within a period; ``total_dur`` is the
     period length.  Both are computed once, when the spec is built, and
-    building one checks it: at least one component, and every duration a
-    positive integer (``bool`` is not accepted as one).
+    building one checks it: ``components`` is a non-empty tuple of
+    ``Component``, and every duration a positive integer (``bool`` is not
+    accepted as one).
     """
 
     name: str
@@ -63,9 +64,16 @@ class SequenceSpec:
     _offsets: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.components, tuple):
+            raise CoincideError(
+                f"sequence {self.name!r}: components must be a tuple of Component, "
+                f"got {type(self.components).__name__}"
+            )
         if not self.components:
             raise EmptySequence(f"sequence {self.name!r} has no components")
         for idx, comp in enumerate(self.components):
+            if not isinstance(comp, Component):
+                raise CoincideError(f"component {idx}: expected a Component, got {comp!r}")
             dur = comp.dur
             if not isinstance(dur, int) or isinstance(dur, bool) or dur < 1:
                 raise NonPositiveDuration(idx, dur)
@@ -88,6 +96,8 @@ def sequence(name: str, *durs: int, component_names: list[str] | None = None) ->
 
 
 def _check_index(spec: SequenceSpec, p: int) -> None:
+    if not isinstance(p, int) or isinstance(p, bool):
+        raise IndexOutOfRange(f"component index must be an integer, got {p!r}")
     if not 0 <= p < spec.length:
         raise IndexOutOfRange(
             f"component index {p} out of range for sequence {spec.name!r} "

@@ -3,16 +3,18 @@
 Every random instance is checked for every component pair: the grid
 verdict must match the projection verdict and every emitted witness must
 be one of the projection's windows.  Optionally the rule battery is
-evaluated on every entry pair, counting soundness violations (a rule
+censused on every entry pair, counting soundness violations (a rule
 fired but the windows do not overlap: always a bug) and exhaustiveness
 gaps (the windows overlap but no rule fired: expected, reported as a
-census only).
+census only).  Entries of one shape answer alike, so each distinct pair
+of entry shapes is evaluated once and counted for every entry pair it
+stands for.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .coincidence import check_pair, create_network, decide, fired_theorems, slot_frame_window
+from .coincidence import SlotFrameWindow, check_pair, create_network, decide, fired_theorems
 from .oracle import oracle_decide
 from .partition import build_gcd_partition
 from .randgen import SplitMix64, random_instance
@@ -66,9 +68,6 @@ def run_verification(trials: int, seed: int, include_battery: bool = True) -> Ve
     report = VerifyReport(trials=trials, seed=seed)
     for t in range(trials):
         x, y = random_instance(rng)
-        g = build_gcd_partition(x, y).slot_dur
-        if include_battery:
-            framed_x, framed_y = _framed_networks(x, g), _framed_networks(y, g)
         for p in range(x.length):
             for q in range(y.length):
                 report.pairs_checked += 1
@@ -86,36 +85,61 @@ def run_verification(trials: int, seed: int, include_battery: bool = True) -> Ve
                         f"trial {t}: witness {d.witness} at (p={p}, q={q}) "
                         f"not among projection windows"
                     )
-                if include_battery:
-                    _battery_census(report, p, q, framed_x[p], framed_y[q], g)
+        if include_battery:
+            _battery_census(report, x, y)
     return report
 
 
 def _framed_networks(spec, g):
-    """Per component: its duration and its network entries with their frame windows."""
+    """Per component: its duration and its network entries grouped by shape.
+
+    ``fired_theorems`` reads an entry's ``rel``, ``left_gap`` and
+    ``right_gap`` (``common_dur`` is ``g`` minus both gaps), never its
+    slot, so one entry per shape stands for all of them.  A group is that
+    representative, the in-slot part ``[left_gap, g - right_gap)`` of its
+    frame window, and the slots of its members.  Two frame windows that
+    both meet the slot ``[0, g)`` overlap iff their in-slot parts do:
+    pairwise-intersecting intervals share a point (1-D Helly).  Interior
+    slots all have one shape, so a component has at most three groups.
+    """
     out = []
-    for p, (a, comp) in enumerate(zip(spec.offsets(), spec.components)):
-        entries = create_network(spec, g, p).entries
-        out.append((comp.dur, [(e, slot_frame_window(a, comp.dur, e.slot, g)) for e in entries]))
+    for p, comp in enumerate(spec.components):
+        groups = {}
+        for e in create_network(spec, g, p).entries:
+            groups.setdefault((e.rel, e.left_gap, e.right_gap), (e, []))[1].append(e.slot)
+        shapes = [
+            (e, SlotFrameWindow(e.left_gap, g - e.right_gap), slots) for e, slots in groups.values()
+        ]
+        out.append((comp.dur, shapes))
     return out
 
 
-def _battery_census(report, p, q, framed_x, framed_y, g):
-    dx, entries_x = framed_x
-    dy, entries_y = framed_y
-    for ex, wx in entries_x:
-        for ey, wy in entries_y:
-            report.battery_pairs += 1
-            fired = fired_theorems(ex, dx, ey, dy, g)
-            overlap = check_pair(wx, wy)
-            if fired and not overlap:
-                report.soundness_violations += 1
-                report.failures.append(
-                    f"unsound rule(s) {sorted(fired)} at (p={p}, q={q}), "
-                    f"slots ({ex.slot}, {ey.slot})"
-                )
-            elif overlap and not fired:
-                report.exhaustiveness_gaps += 1
+def _battery_census(report, x, y):
+    """Evaluate the rule battery on every entry pair of every component pair.
+
+    Each pair of entry shapes is evaluated once and counted once per entry
+    pair it stands for; a soundness violation is reported for every one of
+    those entry pairs, with its real slots.
+    """
+    g = build_gcd_partition(x, y).slot_dur
+    framed_y = _framed_networks(y, g)
+    for p, (dx, groups_x) in enumerate(_framed_networks(x, g)):
+        for q, (dy, groups_y) in enumerate(framed_y):
+            for ex, wx, slots_x in groups_x:
+                for ey, wy, slots_y in groups_y:
+                    n = len(slots_x) * len(slots_y)
+                    report.battery_pairs += n
+                    fired = fired_theorems(ex, dx, ey, dy, g)
+                    overlap = check_pair(wx, wy)
+                    if fired and not overlap:
+                        report.soundness_violations += n
+                        report.failures.extend(
+                            f"unsound rule(s) {sorted(fired)} at (p={p}, q={q}), slots ({r}, {s})"
+                            for r in slots_x
+                            for s in slots_y
+                        )
+                    elif overlap and not fired:
+                        report.exhaustiveness_gaps += n
 
 
 @dataclass

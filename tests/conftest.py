@@ -43,9 +43,9 @@ def _split(draw, name: str, total: int, max_components: int):
 
 
 @st.composite
-def large_sequence_pairs(draw, max_g: int = 2**40, max_slots: int = 12, max_components: int = 5):
-    """Pairs with periods g*R and g*S: durations up to about 2^44, yet at
-    most R + S incidences per cycle, so projection stays cheap."""
+def large_sequence_pairs(draw, max_g: int = 2**58, max_slots: int = 12, max_components: int = 5):
+    """Pairs with periods g*R and g*S: durations and periods below 2^62, yet
+    at most R + S incidences per cycle, so projection stays cheap."""
     g = draw(st.integers(min_value=1, max_value=max_g))
     big_r = draw(st.integers(min_value=1, max_value=max_slots))
     big_s = draw(st.integers(min_value=1, max_value=max_slots))

@@ -16,7 +16,16 @@ from coincide import (
     cycle_duration,
     incidences_of,
 )
-from coincide.coincidence import SLOT_SUB_COMPONENT, NetworkEntry
+from coincide.coincidence import (
+    SLOT_SUB_COMPONENT,
+    NetworkEntry,
+    check_pair,
+    create_network,
+    fired_theorems,
+    slot_frame_window,
+)
+from coincide.partition import build_gcd_partition
+from coincide.verify import VerifyReport
 
 # Each of the thirteen relations as a standalone endpoint predicate.
 RELATION_PREDICATES = {
@@ -182,3 +191,33 @@ def network_from_period(
         )
     flag = any(e.rel in SLOT_SUB_COMPONENT for e in entries)
     return entries, flag
+
+
+def per_pair_census(x: SequenceSpec, y: SequenceSpec) -> VerifyReport:
+    """The rule-battery census with one rule evaluation per entry pair.
+
+    Every component pair, every entry pair of their networks, each tested
+    on its full frame windows.
+    """
+    report = VerifyReport(trials=1, seed=0)
+    g = build_gcd_partition(x, y).slot_dur
+    for p in range(x.length):
+        a, dx = x.offsets()[p], x.components[p].dur
+        for q in range(y.length):
+            b, dy = y.offsets()[q], y.components[q].dur
+            for ex in create_network(x, g, p).entries:
+                for ey in create_network(y, g, q).entries:
+                    report.battery_pairs += 1
+                    rules = fired_theorems(ex, dx, ey, dy, g)
+                    overlap = check_pair(
+                        slot_frame_window(a, dx, ex.slot, g), slot_frame_window(b, dy, ey.slot, g)
+                    )
+                    if rules and not overlap:
+                        report.soundness_violations += 1
+                        report.failures.append(
+                            f"unsound rule(s) {sorted(rules)} at (p={p}, q={q}), "
+                            f"slots ({ex.slot}, {ey.slot})"
+                        )
+                    elif overlap and not rules:
+                        report.exhaustiveness_gaps += 1
+    return report

@@ -14,9 +14,12 @@ from coincide import (
     Interval,
     NonPositiveDuration,
     SequenceSpec,
+    create_network,
     cycle_duration,
+    decide,
     holds,
     incidences_of,
+    oracle_decide,
     resolve_component,
     sequence,
 )
@@ -47,6 +50,16 @@ def test_rejects_non_integer_duration(dur):
     # TypeError, and True passes as a 1-unit duration.
     with pytest.raises(CoincideError, match="component 0: duration must be a positive integer"):
         sequence("x", dur, 1)
+
+
+@pytest.mark.parametrize(
+    "components", [(1, 2), [Component("a", 1)]], ids=["ints", "list"]
+)
+def test_rejects_components_that_are_not_a_tuple_of_component(components):
+    # (1, 2) used to fail with a bare AttributeError; a list was accepted
+    # and left the spec unhashable
+    with pytest.raises(CoincideError):
+        SequenceSpec("s", components)
 
 
 def test_derived_fields_leave_equality_hash_and_repr_alone(machine):
@@ -126,3 +139,19 @@ def test_resolve_component_rejects_bool(machine):
     for key in (True, False):
         with pytest.raises(ComponentLookupError):
             resolve_component(machine, key)
+
+
+@pytest.mark.parametrize("index", [True, 0.5])
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda x, y, p: decide(x, y, p, 0),
+        lambda x, y, p: oracle_decide(x, y, p, 0),
+        lambda x, y, p: create_network(x, 1, p),
+    ],
+    ids=["decide", "oracle_decide", "create_network"],
+)
+def test_library_calls_reject_non_integer_index(query, index):
+    # True used to answer for component 1 and 0.5 to fail with a bare TypeError
+    with pytest.raises(IndexOutOfRange, match=f"got {index!r}"):
+        query(sequence("x", 2, 3), sequence("y", 4), index)
