@@ -8,8 +8,10 @@ the output document, never in the exit code.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .bench import run_bench
 from .coincidence import (
@@ -21,8 +23,8 @@ from .coincidence import (
     network_entry,
 )
 from .intervals import CoincideError, Interval
-from .partition import build_gcd_partition
-from .recurrence import Component, SequenceSpec, cycle_duration, resolve_component
+from .partition import GcdPartition, build_gcd_partition
+from .recurrence import Component, SequenceSpec, resolve_component
 from .verify import run_verification
 
 
@@ -49,8 +51,9 @@ def _load_document(path: str) -> dict:
 
 
 def _component_key(raw) -> int | str:
-    # Flag values arrive as strings; digits mean an index, anything else a name.
-    if isinstance(raw, str) and (raw.isdigit() or (raw.startswith("-") and raw[1:].isdigit())):
+    # Flag values arrive as strings; an ASCII decimal integer means an index,
+    # anything else a name (str.isdigit alone also accepts "١" and "²").
+    if isinstance(raw, str) and raw.isascii() and raw.removeprefix("-").isdigit():
         return int(raw)
     return raw
 
@@ -72,9 +75,42 @@ def _interval_obj(iv: Interval) -> dict:
     return {"start": iv.start, "end": iv.end}
 
 
+def _to_json(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, built without reference cycles.
+
+    With ``indent`` set, ``json.dumps`` runs the pure-Python encoder, whose
+    nested closures leave cyclic garbage on every call (33 objects for a
+    ``check`` result on CPython 3.11) for the collector to find.  Strings
+    go through the stdlib's C escaper; ``pad`` is a newline plus the
+    indentation of the enclosing container.  Dict keys must be strings.
+    """
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_to_json(v, inner) for v in value]) + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_json_str(k) + ": " + _to_json(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    # Floats and anything else: the stdlib's rendering, indented to this depth.
+    return json.dumps(value, indent=2).replace("\n", pad)
+
+
 def _emit(args, doc: dict, unit: str | None = None) -> None:
     if args.format == "json":
-        print(json.dumps(doc, indent=2))
+        print(_to_json(doc))
         return
     for key, value in doc.items():
         if value is None:
@@ -96,13 +132,15 @@ def _emit(args, doc: dict, unit: str | None = None) -> None:
             print(f"{key}: {json.dumps(value)}")
 
 
-def _partition_obj(x: SequenceSpec, y: SequenceSpec) -> dict:
-    part = build_gcd_partition(x, y)
-    return {"g": part.slot_dur, "R": part.slots_x, "S": part.slots_y}
+def _grid(part: GcdPartition) -> dict:
+    """The ``partition`` and ``cycle`` fields of a result document."""
+    return {
+        "partition": {"g": part.slot_dur, "R": part.slots_x, "S": part.slots_y},
+        "cycle": part.slot_dur * part.cycle_slots,
+    }
 
 
-def _fired_for(x, y, p, q, via) -> list[str]:
-    g = build_gcd_partition(x, y).slot_dur
+def _fired_for(x, y, p, q, via, g: int) -> list[str]:
     ex = network_entry(x, g, p, via[0])
     ey = network_entry(y, g, q, via[1])
     return sorted(fired_theorems(ex, x.components[p].dur, ey, y.components[q].dur, g))
@@ -111,13 +149,13 @@ def _fired_for(x, y, p, q, via) -> list[str]:
 def cmd_check(args) -> int:
     x, y, p, q, unit = _load_query(args)
     d = decide(x, y, p, q)
+    part = build_gcd_partition(x, y)
     doc = {
         "coincides": d.coincides,
         "witness": _interval_obj(d.witness) if d.witness else None,
-        "partition": _partition_obj(x, y),
-        "cycle": cycle_duration(x, y),
+        **_grid(part),
         "method": "gcd-partition",
-        "fired": _fired_for(x, y, p, q, d.via) if d.via else [],
+        "fired": _fired_for(x, y, p, q, d.via, part.slot_dur) if d.via else [],
     }
     _emit(args, doc, unit)
     return 0
@@ -129,8 +167,7 @@ def cmd_witness(args) -> int:
     doc = {
         "coincides": w is not None,
         "witness": _interval_obj(w) if w else None,
-        "partition": _partition_obj(x, y),
-        "cycle": cycle_duration(x, y),
+        **_grid(build_gcd_partition(x, y)),
         "method": "gcd-partition",
     }
     _emit(args, doc, unit)
@@ -140,15 +177,15 @@ def cmd_witness(args) -> int:
 def cmd_enumerate(args) -> int:
     x, y, p, q, unit = _load_query(args)
     windows = enumerate_coincidences(x, y, p, q)
+    part = build_gcd_partition(x, y)
     doc = {
         "coincides": bool(windows),
         "witness": _interval_obj(windows[0]) if windows else None,
         "windows": [_interval_obj(w) for w in windows],
-        "partition": _partition_obj(x, y),
-        "cycle": cycle_duration(x, y),
+        **_grid(part),
         "method": "gcd-partition",
         # What projecting the cycle would cost: R * S incidence pairs.
-        "comparisons": build_gcd_partition(x, y).cycle_slots,
+        "comparisons": part.cycle_slots,
     }
     _emit(args, doc, unit)
     return 0
@@ -158,8 +195,7 @@ def cmd_partition(args) -> int:
     doc = _load_document(args.input)
     x = _parse_sequence(doc.get("x"), "x")
     y = _parse_sequence(doc.get("y"), "y")
-    out = {"partition": _partition_obj(x, y), "cycle": cycle_duration(x, y)}
-    _emit(args, out, doc.get("unit"))
+    _emit(args, _grid(build_gcd_partition(x, y)), doc.get("unit"))
     return 0
 
 
@@ -171,27 +207,23 @@ def cmd_network(args) -> int:
     part = build_gcd_partition(x, y)
     net = create_network(spec, part.slot_dur, args.index)
     if args.format == "json":
-        print(
-            json.dumps(
+        doc = {
+            "sequence": spec.name,
+            "component": net.component,
+            "g": part.slot_dur,
+            "entries": [
                 {
-                    "sequence": spec.name,
-                    "component": net.component,
-                    "g": part.slot_dur,
-                    "entries": [
-                        {
-                            "slot": e.slot,
-                            "rel": e.rel.value,
-                            "left_gap": e.left_gap,
-                            "right_gap": e.right_gap,
-                            "common_dur": e.common_dur,
-                        }
-                        for e in net.entries
-                    ],
-                    "flag": net.flag,
-                },
-                indent=2,
-            )
-        )
+                    "slot": e.slot,
+                    "rel": e.rel.value,
+                    "left_gap": e.left_gap,
+                    "right_gap": e.right_gap,
+                    "common_dur": e.common_dur,
+                }
+                for e in net.entries
+            ],
+            "flag": net.flag,
+        }
+        print(_to_json(doc))
     else:
         comp = spec.components[net.component]
         print(f"network: {spec.name}[{net.component}] {comp.name!r} on slot grid g={part.slot_dur}")
@@ -209,22 +241,18 @@ def cmd_verify(args) -> int:
         raise ValueError(f"trials must be >= 1, got {args.trials}")
     report = run_verification(args.trials, args.seed)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "trials": report.trials,
-                    "seed": report.seed,
-                    "pairs_checked": report.pairs_checked,
-                    "mismatches": report.mismatches,
-                    "witness_errors": report.witness_errors,
-                    "battery_pairs": report.battery_pairs,
-                    "soundness_violations": report.soundness_violations,
-                    "exhaustiveness_gaps": report.exhaustiveness_gaps,
-                    "passed": report.passed,
-                },
-                indent=2,
-            )
-        )
+        doc = {
+            "trials": report.trials,
+            "seed": report.seed,
+            "pairs_checked": report.pairs_checked,
+            "mismatches": report.mismatches,
+            "witness_errors": report.witness_errors,
+            "battery_pairs": report.battery_pairs,
+            "soundness_violations": report.soundness_violations,
+            "exhaustiveness_gaps": report.exhaustiveness_gaps,
+            "passed": report.passed,
+        }
+        print(_to_json(doc))
     else:
         for line in report.summary_lines(include_battery=True):
             print(line)
@@ -238,23 +266,15 @@ def cmd_bench(args) -> int:
         raise ValueError(f"--max-exponent must be >= 4, got {args.max_exponent}")
     report = run_bench(args.max_exponent)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "rows": [
-                        {
-                            "max_dur": r.max_dur,
-                            "gcd_method_ops": r.gcd_method_ops,
-                            "oracle_ops": r.oracle_ops,
-                        }
-                        for r in report.rows
-                    ],
-                    "gcd_slope": report.gcd_slope,
-                    "oracle_slope": report.oracle_slope,
-                },
-                indent=2,
-            )
-        )
+        doc = {
+            "rows": [
+                {"max_dur": r.max_dur, "gcd_method_ops": r.gcd_method_ops, "oracle_ops": r.oracle_ops}
+                for r in report.rows
+            ],
+            "gcd_slope": report.gcd_slope,
+            "oracle_slope": report.oracle_slope,
+        }
+        print(_to_json(doc))
     else:
         for line in report.csv_lines():
             print(line)
@@ -265,7 +285,10 @@ def cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built once per process: the parser holds no per-call state, and
+    # building it costs more than answering a small query.
     parser = argparse.ArgumentParser(
         prog="coincide",
         description="Decide whether components of two recurring schedules ever coincide.",

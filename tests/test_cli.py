@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import gc
 import json
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from coincide import oracle_decide, resolve_component, sequence
-from coincide.cli import main
+from coincide.cli import _to_json, main
 
 QUERIES = Path(__file__).resolve().parents[1] / "queries"
 
@@ -359,3 +362,137 @@ def test_witness_long_components_is_linear_in_windows(capsys, tmp_path):
     first = oracle_decide(sequence("x", *durs_x), sequence("y", *durs_y), 0, 0).windows[0]
     assert json.loads(out)["witness"] == {"start": first.start, "end": first.end}
     assert elapsed < 2.0
+
+
+def _named_doc(x_names, y_names, p, q):
+    return {
+        "x": {"name": "x", "components": [{"name": n, "dur": i + 1} for i, n in enumerate(x_names)]},
+        "y": {"name": "y", "components": [{"name": n, "dur": i + 2} for i, n in enumerate(y_names)]},
+        "p": p,
+        "q": q,
+    }
+
+
+def test_non_ascii_digit_flag_is_a_name_not_an_index(capsys, tmp_path):
+    # U+0661 ARABIC-INDIC DIGIT ONE passes str.isdigit() but is not an index.
+    path = write_doc(tmp_path, _named_doc(["a", "b"], ["c"], 0, 0))
+    code, out, err = run(capsys, "check", "--input", path, "--p", "١", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "no component named '١'" in err
+    path = write_doc(tmp_path, _named_doc(["a", "١", "b"], ["c"], 0, 0), "named.json")
+    _, by_name, _ = run(capsys, "check", "--input", path, "--p", "١", "--format", "json")
+    _, by_index, _ = run(capsys, "check", "--input", path, "--p", "1", "--format", "json")
+    assert by_name == by_index
+
+
+def test_non_ascii_digit_document_field_selects_by_name(capsys, tmp_path):
+    # U+00B2 SUPERSCRIPT TWO: isdigit() is true, int() rejects it.
+    named = write_doc(tmp_path, _named_doc(["a", "b"], ["c", "²"], 0, "²"))
+    indexed = write_doc(tmp_path, _named_doc(["a", "b"], ["c", "²"], 0, 1), "indexed.json")
+    code, by_name, err = run(capsys, "witness", "--input", named, "--format", "json")
+    assert code == 0, err
+    _, by_index, _ = run(capsys, "witness", "--input", indexed, "--format", "json")
+    assert by_name == by_index
+
+
+@pytest.mark.parametrize("key", ["1", "-1", "0"])
+def test_ascii_integer_strings_are_indices(capsys, tmp_path, key):
+    path = write_doc(tmp_path, _named_doc(["a", "b"], ["c"], key, 0))
+    code, _, err = run(capsys, "check", "--input", path)
+    if key == "-1":
+        assert code == 2 and "0..1" in err
+    else:
+        assert code == 0, err
+
+
+def test_shared_parser_keeps_no_flags_between_calls(capsys, tmp_path):
+    path = write_doc(tmp_path, _named_doc(["a", "b"], ["c", "d"], 0, 0))
+    _, flagged, _ = run(capsys, "witness", "--input", path, "--p", "1", "--q", "1", "--format", "json")
+    code, from_doc, _ = run(capsys, "witness", "--input", path, "--format", "json")
+    _, explicit, _ = run(capsys, "witness", "--input", path, "--p", "0", "--q", "0", "--format", "json")
+    assert code == 0
+    assert from_doc == explicit
+    assert from_doc != flagged
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["check"], ["check", "--input", str(QUERIES / "factory.json"), "--format", "yaml"]],
+    ids=["no-command", "no-input", "bad-format"],
+)
+def test_usage_errors_exit_2_after_a_successful_call(capsys, factory_path, argv):
+    assert run(capsys, "check", "--input", factory_path)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert run(capsys, "check", "--input", factory_path)[0] == 0
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**63 - 2, max_value=2**70)
+    | st.integers(min_value=-(2**70), max_value=-(2**63) + 1)
+    | st.floats()
+    | st.text()
+    | st.text(st.characters(max_codepoint=0x1F))
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(_JSON_VALUES)
+@example([])
+@example({})
+@example({"": [{}, [], [[]]], "\u00e9\u2603\U0001d11e": "\x00\t\n\"\\\ud800"})
+@example([1e300, -0.0, float("nan"), float("inf"), 2**64, -(2**64)])
+def test_to_json_equals_stdlib_indented_dumps(value):
+    assert _to_json(value) == json.dumps(value, indent=2)
+
+
+_QUERY_PATHS = sorted(str(p) for p in QUERIES.glob("*.json"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [cmd, "--input", path, *extra]
+        for path in _QUERY_PATHS
+        for cmd, extra in [
+            ("check", []),
+            ("witness", []),
+            ("enumerate", []),
+            ("partition", []),
+            ("network", ["--side", "x", "--index", "0"]),
+            ("network", ["--side", "y", "--index", "1"]),
+        ]
+    ]
+    + [["verify", "--trials", "5"], ["bench", "--max-exponent", "5"]],
+    ids=lambda argv: "-".join(Path(a).stem for a in argv if a != "--input"),
+)
+def test_json_output_is_stdlib_indented_json(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("path", _QUERY_PATHS, ids=lambda p: Path(p).stem)
+def test_queries_leave_no_reference_cycles(capsys, path):
+    # Cyclic garbage is freed only by the collector: a long-lived caller
+    # would hold it until a full collection, so it raises peak memory.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for op in ("check", "witness", "enumerate"):
+            run(capsys, op, "--input", path, "--format", "json")
+            gc.collect()
+            assert run(capsys, op, "--input", path, "--format", "json")[0] == 0
+            assert gc.collect() == 0, op
+    finally:
+        if was_enabled:
+            gc.enable()
