@@ -9,8 +9,10 @@ are the metric; both are exactly reproducible.
 Grid-method ops per query are those of the paper's network procedure
 (``network_decide``): cursor-walk steps of each network actually built
 (components skipped + slots skipped + entries emitted) plus frame pair
-checks.  Projection ops: incidence pairs examined.  Queried components
-are the middle ones of each sequence.
+checks.  The walk is charged arithmetically from the network's runs, so
+the count is the paper's cost model, not the time this code takes.
+Projection ops: incidence pairs examined.  Queried components are the
+middle ones of each sequence.
 """
 from __future__ import annotations
 

@@ -34,12 +34,18 @@ def _parse_sequence(obj, which: str) -> SequenceSpec:
     comps = obj.get("components")
     if not isinstance(comps, list):
         raise ValueError(f"{which}.components must be a list")
+    name = obj.get("name", which)
+    if not isinstance(name, str):
+        raise ValueError(f"{which}.name must be a string, got {name!r}")
     parsed = []
     for idx, c in enumerate(comps):
         if not isinstance(c, dict) or "dur" not in c:
             raise ValueError(f"{which}.components[{idx}] must be an object with 'dur'")
-        parsed.append(Component(str(c.get("name", f"c{idx}")), c["dur"]))
-    return SequenceSpec(str(obj.get("name", which)), tuple(parsed))
+        cname = c["name"] if "name" in c else f"c{idx}"
+        if not isinstance(cname, str):
+            raise ValueError(f"{which}.components[{idx}].name must be a string, got {cname!r}")
+        parsed.append(Component(cname, c["dur"]))
+    return SequenceSpec(name, tuple(parsed))
 
 
 def _load_document(path: str) -> dict:

@@ -69,7 +69,15 @@ class NetworkEntry:
 
 @dataclass(frozen=True)
 class Network:
-    """All slot entries of one component within a period.
+    """The slot entries of one component within a period, stored as runs.
+
+    Every slot strictly between the component's first and last slot lies
+    inside its window and has one entry shape (``contains``, no gaps,
+    ``g`` common units), so a network is at most three runs: the first
+    slot, the interior slots and the last slot.  ``runs`` holds each
+    run's first entry and its number of slots, in slot order.
+    ``entries`` is their expansion, one entry per slot as the paper lists
+    a network; it costs one entry per slot, where ``runs`` costs O(1).
 
     ``flag`` is True when some slot lies fully inside the component
     window, which already settles every coincidence query against this
@@ -77,8 +85,16 @@ class Network:
     """
 
     component: int
-    entries: tuple[NetworkEntry, ...]
+    runs: tuple[tuple[NetworkEntry, int], ...]
     flag: bool
+
+    @property
+    def entries(self) -> tuple[NetworkEntry, ...]:
+        return tuple(
+            NetworkEntry(e.slot + i, e.rel, e.left_gap, e.right_gap, e.common_dur)
+            for e, count in self.runs
+            for i in range(count)
+        )
 
 
 class NoOverlap(CoincideError):
@@ -121,8 +137,10 @@ def network_entry(spec: SequenceSpec, g: int, p: int, r: int) -> NetworkEntry:
     Raises NoOverlap when the component window shares no unit with the slot.
     """
     _check_index(spec, p)
-    a = spec.offsets()[p]
-    d = spec.components[p].dur
+    return _entry(spec.offsets()[p], spec.components[p].dur, r, g)
+
+
+def _entry(a: int, d: int, r: int, g: int) -> NetworkEntry:
     w = slot_frame_window(a, d, r, g)
     rel = allen_relation(Interval(a, d), Interval(r * g, g))
     return NetworkEntry(r, rel, max(0, w.lo), max(0, g - w.hi), min(w.hi, g) - max(w.lo, 0))
@@ -133,17 +151,24 @@ def create_network(spec: SequenceSpec, g: int, p: int) -> Network:
 
     Entries cover exactly the slots ``a // g .. (a + d - 1) // g`` where
     ``[a, a + d)`` is the component window; only those overlap it by at
-    least one unit.
+    least one unit.  The network is built as runs (see ``Network``): at
+    most three entries are computed, whatever the duration.
     """
     _check_index(spec, p)
     if g < 1 or spec.total_dur % g != 0:
         raise BadGcd(f"slot duration {g} does not divide period {spec.total_dur}")
     a = spec.offsets()[p]
+    d = spec.components[p].dur
     first = a // g
-    last = (a + spec.components[p].dur - 1) // g
-    entries = tuple(network_entry(spec, g, p, r) for r in range(first, last + 1))
-    flag = any(e.rel in SLOT_SUB_COMPONENT for e in entries)
-    return Network(p, entries, flag)
+    last = (a + d - 1) // g
+    runs = [(_entry(a, d, first, g), 1)]
+    if last - first > 1:
+        # Interior slots start after ``a`` and end by ``a + d - 1``.
+        runs.append((NetworkEntry(first + 1, Relation.CONTAINS, 0, 0, g), last - first - 1))
+    if last > first:
+        runs.append((_entry(a, d, last, g), 1))
+    flag = any(e.rel in SLOT_SUB_COMPONENT for e, _ in runs)
+    return Network(p, tuple(runs), flag)
 
 
 def fired_theorems(
@@ -342,25 +367,29 @@ def network_decide(
     most two entries, so the pair scan is constant-size.  ``ops`` (when
     given) is charged the cursor walk of each network built, one step per
     component skipped, per slot skipped and per entry emitted, and one
-    step per pair test.
+    step per pair test.  The walk to component ``q`` with first slot ``f``
+    and last slot ``l`` is ``q + f + (l - f + 1)`` steps, charged
+    arithmetically from the runs, so the procedure is O(1) at any
+    duration.
     """
     _check_index(x, p)
     _check_index(y, q)
     g = build_gcd_partition(x, y).slot_dur
     ny = create_network(y, g, q)
     if ops is not None:
-        ops.add(q + ny.entries[0].slot + len(ny.entries))
+        ops.add(q + ny.runs[-1][0].slot + 1)
     if ny.flag:
         return True
     nx = create_network(x, g, p)
     if ops is not None:
-        ops.add(p + nx.entries[0].slot + len(nx.entries))
+        ops.add(p + nx.runs[-1][0].slot + 1)
     if nx.flag:
         return True
+    # An interior run is flagged, so every run left here is a single slot.
     ax, dx = x.offsets()[p], x.components[p].dur
     ay, dy = y.offsets()[q], y.components[q].dur
-    frames_y = [slot_frame_window(ay, dy, e.slot, g) for e in ny.entries]
-    for ex in nx.entries:
+    frames_y = [slot_frame_window(ay, dy, e.slot, g) for e, _ in ny.runs]
+    for ex, _ in nx.runs:
         wx = slot_frame_window(ax, dx, ex.slot, g)
         for wy in frames_y:
             if ops is not None:

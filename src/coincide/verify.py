@@ -6,9 +6,9 @@ be one of the projection's windows.  Optionally the rule battery is
 censused on every entry pair, counting soundness violations (a rule
 fired but the windows do not overlap: always a bug) and exhaustiveness
 gaps (the windows overlap but no rule fired: expected, reported as a
-census only).  Entries of one shape answer alike, so each distinct pair
-of entry shapes is evaluated once and counted for every entry pair it
-stands for.
+census only).  A slot network is at most three runs of entries of one
+shape, and entries of one shape answer alike, so each pair of runs is
+evaluated once and counted for every entry pair it stands for.
 """
 from __future__ import annotations
 
@@ -91,26 +91,23 @@ def run_verification(trials: int, seed: int, include_battery: bool = True) -> Ve
 
 
 def _framed_networks(spec, g):
-    """Per component: its duration and its network entries grouped by shape.
+    """Per component: its duration and its network runs, one group per run.
 
     ``fired_theorems`` reads an entry's ``rel``, ``left_gap`` and
     ``right_gap`` (``common_dur`` is ``g`` minus both gaps), never its
-    slot, so one entry per shape stands for all of them.  A group is that
-    representative, the in-slot part ``[left_gap, g - right_gap)`` of its
-    frame window, and the slots of its members.  Two frame windows that
-    both meet the slot ``[0, g)`` overlap iff their in-slot parts do:
-    pairwise-intersecting intervals share a point (1-D Helly).  Interior
-    slots all have one shape, so a component has at most three groups.
+    slot, so a run's first entry stands for all of its slots.  A group is
+    that entry, the in-slot part ``[left_gap, g - right_gap)`` of its
+    frame window, and the run's slots.  Two frame windows that both meet
+    the slot ``[0, g)`` overlap iff their in-slot parts do:
+    pairwise-intersecting intervals share a point (1-D Helly).
     """
     out = []
     for p, comp in enumerate(spec.components):
-        groups = {}
-        for e in create_network(spec, g, p).entries:
-            groups.setdefault((e.rel, e.left_gap, e.right_gap), (e, []))[1].append(e.slot)
-        shapes = [
-            (e, SlotFrameWindow(e.left_gap, g - e.right_gap), slots) for e, slots in groups.values()
+        groups = [
+            (e, SlotFrameWindow(e.left_gap, g - e.right_gap), range(e.slot, e.slot + count))
+            for e, count in create_network(spec, g, p).runs
         ]
-        out.append((comp.dur, shapes))
+        out.append((comp.dur, groups))
     return out
 
 

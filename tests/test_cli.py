@@ -113,6 +113,48 @@ def test_check_rejects_non_integer_duration(capsys, tmp_path, dur):
     assert "component 0: duration must be a positive integer" in err
 
 
+@pytest.mark.parametrize("name", [None, 3, ["a"]], ids=["null", "number", "list"])
+def test_check_rejects_non_string_component_name(capsys, tmp_path, name):
+    doc = {
+        "x": {"name": "x", "components": [{"name": "a", "dur": 1}, {"name": name, "dur": 2}]},
+        "y": {"name": "y", "components": [{"name": "b", "dur": 1}]},
+        "p": "None",
+        "q": 0,
+    }
+    code, out, err = run(capsys, "check", "--input", write_doc(tmp_path, doc))
+    assert code == 2
+    assert out == ""
+    assert "x.components[1].name must be a string" in err
+
+
+@pytest.mark.parametrize("name", [None, 3, ["a"]], ids=["null", "number", "list"])
+def test_check_rejects_non_string_sequence_name(capsys, tmp_path, name):
+    doc = {
+        "x": {"name": "x", "components": [{"name": "a", "dur": 1}]},
+        "y": {"name": name, "components": [{"name": "b", "dur": 1}]},
+        "p": 0,
+        "q": 0,
+    }
+    code, out, err = run(capsys, "check", "--input", write_doc(tmp_path, doc))
+    assert code == 2
+    assert out == ""
+    assert "y.name must be a string" in err
+
+
+def test_missing_names_default_to_side_and_index(capsys, tmp_path):
+    doc = {
+        "x": {"components": [{"dur": 1}, {"dur": 2}]},
+        "y": {"components": [{"dur": 3}]},
+    }
+    path = write_doc(tmp_path, doc)
+    code, out, _ = run(capsys, "network", "--input", path, "--side", "x", "--index", "1")
+    assert code == 0
+    assert out.startswith("network: x[1] 'c1' on slot grid g=3\n")
+    code, out, _ = run(capsys, "check", "--input", path, "--p", "c1", "--q", "c0", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["coincides"] is True
+
+
 def test_check_rejects_garbage_json(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import pytest
 from hypothesis import given
@@ -11,9 +12,10 @@ from coincide import (
     Relation,
     build_gcd_partition,
     create_network,
+    network_decide,
     sequence,
 )
-from coincide.coincidence import SLOT_SUB_COMPONENT, NetworkEntry
+from coincide.coincidence import SLOT_SUB_COMPONENT, NetworkEntry, OpCounter
 from .conftest import sequence_pairs, sequence_specs
 from .refimpl import cursor_network, network_from_period
 
@@ -64,6 +66,21 @@ def test_matches_cursor_walk(spec):
             entries, flag = cursor_network(spec, g, p)
             assert list(net.entries) == entries
             assert net.flag == flag
+
+
+def test_matches_cursor_walk_on_every_small_window():
+    # Complete on its range, not sampled: every slot size g <= 12, start
+    # a < 3g and duration d <= 4g, padded before and after so that the
+    # period is a multiple of g.
+    for g in range(1, 13):
+        for a in range(3 * g):
+            for d in range(1, 4 * g + 1):
+                durs = ([a] if a else []) + [d] + ([-(a + d) % g] if (a + d) % g else [])
+                spec = sequence("s", *durs)
+                p = 1 if a else 0
+                net = create_network(spec, g, p)
+                assert len(net.runs) <= 3
+                assert (list(net.entries), net.flag) == cursor_network(spec, g, p)
 
 
 @given(sequence_specs(max_components=6, max_dur=10))
@@ -117,3 +134,25 @@ def test_unit_grid_covers_every_slot_of_long_component():
     assert len(net.entries) == 9
     assert all(e.rel in SLOT_SUB_COMPONENT for e in net.entries[:])
     assert net.flag
+
+
+def test_billion_unit_network_is_three_runs_in_constant_time():
+    # g = 1: a per-slot build or walk here would take hours.
+    d = 10**9
+    x, y = sequence("x", d, 1), sequence("y", d, 2)
+    ops = OpCounter()
+    t0 = time.perf_counter()
+    net = create_network(x, 1, 0)
+    verdict = network_decide(x, y, 0, 0, ops=ops)
+    elapsed = time.perf_counter() - t0
+    assert net.runs == (
+        (NetworkEntry(0, Relation.STARTED_BY, 0, 0, 1), 1),
+        (NetworkEntry(1, Relation.CONTAINS, 0, 0, 1), d - 2),
+        (NetworkEntry(d - 1, Relation.FINISHED_BY, 0, 0, 1), 1),
+    )
+    assert net.flag
+    assert verdict is True
+    # The cursor walk is still charged in full: no components or slots
+    # skipped, one step per entry emitted.
+    assert ops.steps == d
+    assert elapsed < 0.01
