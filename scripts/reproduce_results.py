@@ -59,7 +59,7 @@ def main() -> int:
 
     print(f"== cross-validation ({args.trials} instances, seed {args.seed})")
     report = run_verification(args.trials, args.seed)
-    for line in report.summary_lines(include_battery=True):
+    for line in report.summary_lines():
         print(f"   {line}")
     print()
 

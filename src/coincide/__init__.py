@@ -7,17 +7,10 @@ one period of each sequence, cross-validated against brute-force
 projection of a full joint cycle.
 """
 from .intervals import (
-    AuxEntry,
     CoincideError,
-    Derived,
-    DisjointIntervals,
-    EqualIntervals,
     Interval,
     Relation,
     allen_relation,
-    aux_intervals,
-    common,
-    holds,
 )
 from .recurrence import (
     BadHorizon,
@@ -40,7 +33,6 @@ from .coincidence import (
     NoOverlap,
     OpCounter,
     SLOT_SUB_COMPONENT,
-    SlotFrameWindow,
     check_pair,
     create_network,
     decide,
@@ -49,24 +41,19 @@ from .coincidence import (
     first_coincidence,
     network_decide,
     network_entry,
-    slot_frame_window,
 )
 from .oracle import OracleReport, oracle_decide
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuxEntry",
     "BadGcd",
     "BadHorizon",
     "CoincideError",
     "Component",
     "ComponentLookupError",
     "Decision",
-    "Derived",
-    "DisjointIntervals",
     "EmptySequence",
-    "EqualIntervals",
     "GcdPartition",
     "IndexOutOfRange",
     "Interval",
@@ -79,25 +66,20 @@ __all__ = [
     "Relation",
     "SLOT_SUB_COMPONENT",
     "SequenceSpec",
-    "SlotFrameWindow",
     "allen_relation",
     "align_slot",
-    "aux_intervals",
     "build_gcd_partition",
     "check_pair",
-    "common",
     "create_network",
     "cycle_duration",
     "decide",
     "enumerate_coincidences",
     "fired_theorems",
     "first_coincidence",
-    "holds",
     "incidences_of",
     "network_decide",
     "network_entry",
     "oracle_decide",
     "resolve_component",
     "sequence",
-    "slot_frame_window",
 ]

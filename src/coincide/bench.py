@@ -8,7 +8,7 @@ are the metric; both are exactly reproducible.
 
 Grid-method ops per query are those of the paper's network procedure
 (``network_decide``): cursor-walk steps of each network actually built
-(components skipped + slots skipped + entries emitted) plus frame pair
+(components skipped + slots skipped + entries emitted) plus entry-pair
 checks.  The walk is charged arithmetically from the network's runs, so
 the count is the paper's cost model, not the time this code takes.
 Projection ops: incidence pairs examined.  Queried components are the

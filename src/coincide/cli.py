@@ -260,7 +260,7 @@ def cmd_verify(args) -> int:
         }
         print(_to_json(doc))
     else:
-        for line in report.summary_lines(include_battery=True):
+        for line in report.summary_lines():
             print(line)
         for failure in report.failures[:20]:
             print(f"  {failure}")
@@ -340,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bench", help="operation-count scaling benchmark")
     add_common(sp, needs_input=False)
     sp.add_argument("--max-exponent", type=int, default=10, dest="max_exponent")
-    sp.add_argument("--seed", type=int, default=0, help="accepted for uniformity; bench is deterministic")
     sp.set_defaults(func=cmd_bench)
 
     return parser

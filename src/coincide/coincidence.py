@@ -17,7 +17,9 @@ The paper's per-period slot networks, its network verdict procedure and
 the qualitative rule battery stay as the explanation layer (``check``
 reports the rules its witnessing slot pair fires) and as evidence for
 the reproduction (``bench`` counts the network procedure's operations,
-``verify`` censuses the battery).
+``verify`` censuses the battery).  A network entry is the one record of
+how a window sits on a slot: its gaps place the window's in-slot part,
+and ``check_pair`` tests two entries for overlap from those gaps alone.
 """
 from __future__ import annotations
 
@@ -101,34 +103,22 @@ class NoOverlap(CoincideError):
     """The window does not positively overlap the requested slot."""
 
 
-@dataclass(frozen=True)
-class SlotFrameWindow:
-    """A component window re-based to a slot's start.
+def check_pair(ex: NetworkEntry, ey: NetworkEntry, g: int) -> bool:
+    """True when the windows of two entries share a unit in the slot frame.
 
-    ``lo`` may be negative (the window begins before the slot) and ``hi``
-    may exceed the slot duration; the window always covers at least one
-    unit of ``[0, g)``.
+    Pin both component windows to the frame of one slot ``[0, g)``, which
+    some cycle slot realizes for every residue pair, so a positive answer
+    here is a positive answer for the whole cycle.  Each window meets the
+    slot, and pairwise-intersecting intervals share a point (1-D Helly),
+    so the two windows overlap iff their in-slot parts
+    ``[left_gap, g - right_gap)`` do.
     """
-
-    lo: int
-    hi: int
+    return max(ex.left_gap, ey.left_gap) + max(ex.right_gap, ey.right_gap) < g
 
 
-def slot_frame_window(a: int, d: int, r: int, g: int) -> SlotFrameWindow:
-    """Express the window ``[a, a + d)`` in the frame of slot ``r``."""
-    if not (a < (r + 1) * g and a + d > r * g):
-        raise NoOverlap(f"window [{a}, {a + d}) does not overlap slot {r} of size {g}")
-    return SlotFrameWindow(a - r * g, a + d - r * g)
-
-
-def check_pair(wx: SlotFrameWindow, wy: SlotFrameWindow) -> bool:
-    """True when the two frame windows share at least one unit.
-
-    Both windows are pinned to the same slot frame, which some cycle slot
-    realizes for every residue pair, so a positive answer here is a
-    positive answer for the whole cycle.
-    """
-    return max(wx.lo, wy.lo) < min(wx.hi, wy.hi)
+def _check_slot_dur(spec: SequenceSpec, g: int) -> None:
+    if not isinstance(g, int) or isinstance(g, bool) or g < 1 or spec.total_dur % g != 0:
+        raise BadGcd(f"slot duration {g!r} does not divide period {spec.total_dur}")
 
 
 def network_entry(spec: SequenceSpec, g: int, p: int, r: int) -> NetworkEntry:
@@ -137,13 +127,18 @@ def network_entry(spec: SequenceSpec, g: int, p: int, r: int) -> NetworkEntry:
     Raises NoOverlap when the component window shares no unit with the slot.
     """
     _check_index(spec, p)
-    return _entry(spec.offsets()[p], spec.components[p].dur, r, g)
+    _check_slot_dur(spec, g)
+    a, d = spec.offsets()[p], spec.components[p].dur
+    if not a // g <= r <= (a + d - 1) // g:
+        raise NoOverlap(f"window [{a}, {a + d}) does not overlap slot {r} of size {g}")
+    return _entry(a, d, r, g)
 
 
 def _entry(a: int, d: int, r: int, g: int) -> NetworkEntry:
-    w = slot_frame_window(a, d, r, g)
+    lo = a - r * g
+    left_gap, right_gap = max(0, lo), max(0, g - lo - d)
     rel = allen_relation(Interval(a, d), Interval(r * g, g))
-    return NetworkEntry(r, rel, max(0, w.lo), max(0, g - w.hi), min(w.hi, g) - max(w.lo, 0))
+    return NetworkEntry(r, rel, left_gap, right_gap, g - left_gap - right_gap)
 
 
 def create_network(spec: SequenceSpec, g: int, p: int) -> Network:
@@ -155,8 +150,7 @@ def create_network(spec: SequenceSpec, g: int, p: int) -> Network:
     most three entries are computed, whatever the duration.
     """
     _check_index(spec, p)
-    if g < 1 or spec.total_dur % g != 0:
-        raise BadGcd(f"slot duration {g} does not divide period {spec.total_dur}")
+    _check_slot_dur(spec, g)
     a = spec.offsets()[p]
     d = spec.components[p].dur
     first = a // g
@@ -363,7 +357,7 @@ def network_decide(
 
     Build the y-side network and accept on its flag; otherwise build the
     x-side network and accept on its flag; otherwise test every entry
-    pair in the shared slot frame.  Without a flag each network has at
+    pair with ``check_pair``.  Without a flag each network has at
     most two entries, so the pair scan is constant-size.  ``ops`` (when
     given) is charged the cursor walk of each network built, one step per
     component skipped, per slot skipped and per entry emitted, and one
@@ -386,14 +380,10 @@ def network_decide(
     if nx.flag:
         return True
     # An interior run is flagged, so every run left here is a single slot.
-    ax, dx = x.offsets()[p], x.components[p].dur
-    ay, dy = y.offsets()[q], y.components[q].dur
-    frames_y = [slot_frame_window(ay, dy, e.slot, g) for e, _ in ny.runs]
     for ex, _ in nx.runs:
-        wx = slot_frame_window(ax, dx, ex.slot, g)
-        for wy in frames_y:
+        for ey, _ in ny.runs:
             if ops is not None:
                 ops.add(1)
-            if check_pair(wx, wy):
+            if check_pair(ex, ey, g):
                 return True
     return False

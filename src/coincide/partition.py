@@ -56,10 +56,9 @@ def align_slot(part: GcdPartition, r: int, s: int) -> int:
     coprime.
     """
     big_r, big_s = part.slots_x, part.slots_y
-    if not 0 <= r < big_r:
-        raise IndexOutOfRange(f"slot residue r={r} out of range [0, {big_r})")
-    if not 0 <= s < big_s:
-        raise IndexOutOfRange(f"slot residue s={s} out of range [0, {big_s})")
+    for name, v, bound in (("r", r, big_r), ("s", s, big_s)):
+        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < bound:
+            raise IndexOutOfRange(f"slot residue {name}={v!r} out of range [0, {bound})")
     inv = pow(big_r, -1, big_s)
     t = ((s - r) * inv) % big_s
     return r + big_r * t

@@ -4,17 +4,18 @@ Every random instance is checked for every component pair: the grid
 verdict must match the projection verdict and every emitted witness must
 be one of the projection's windows.  Optionally the rule battery is
 censused on every entry pair, counting soundness violations (a rule
-fired but the windows do not overlap: always a bug) and exhaustiveness
-gaps (the windows overlap but no rule fired: expected, reported as a
-census only).  A slot network is at most three runs of entries of one
-shape, and entries of one shape answer alike, so each pair of runs is
-evaluated once and counted for every entry pair it stands for.
+fired but ``check_pair`` finds no overlap: always a bug) and
+exhaustiveness gaps (``check_pair`` finds an overlap but no rule fired:
+expected, reported as a census only).  A slot network is at most three
+runs of entries of one shape, and entries of one shape answer alike, so
+each pair of runs is evaluated once, on the runs' first entries, and
+counted for every entry pair it stands for.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .coincidence import SlotFrameWindow, check_pair, create_network, decide, fired_theorems
+from .coincidence import check_pair, create_network, decide, fired_theorems
 from .oracle import oracle_decide
 from .partition import build_gcd_partition
 from .randgen import SplitMix64, random_instance
@@ -42,22 +43,18 @@ class VerifyReport:
             and self.soundness_violations == 0
         )
 
-    def summary_lines(self, include_battery: bool) -> list[str]:
-        lines = [
+    def summary_lines(self) -> list[str]:
+        return [
             f"trials: {self.trials}",
             f"seed: {self.seed}",
             f"pairs checked: {self.pairs_checked}",
             f"verdict mismatches: {self.mismatches}",
             f"witness errors: {self.witness_errors}",
+            f"battery entry pairs: {self.battery_pairs}",
+            f"battery soundness violations: {self.soundness_violations}",
+            f"battery exhaustiveness gaps: {self.exhaustiveness_gaps}",
+            f"result: {'PASS' if self.passed else 'FAIL'}",
         ]
-        if include_battery:
-            lines += [
-                f"battery entry pairs: {self.battery_pairs}",
-                f"battery soundness violations: {self.soundness_violations}",
-                f"battery exhaustiveness gaps: {self.exhaustiveness_gaps}",
-            ]
-        lines.append(f"result: {'PASS' if self.passed else 'FAIL'}")
-        return lines
 
 
 def run_verification(trials: int, seed: int, include_battery: bool = True) -> VerifyReport:
@@ -90,23 +87,17 @@ def run_verification(trials: int, seed: int, include_battery: bool = True) -> Ve
     return report
 
 
-def _framed_networks(spec, g):
+def _networks(spec, g):
     """Per component: its duration and its network runs, one group per run.
 
-    ``fired_theorems`` reads an entry's ``rel``, ``left_gap`` and
-    ``right_gap`` (``common_dur`` is ``g`` minus both gaps), never its
-    slot, so a run's first entry stands for all of its slots.  A group is
-    that entry, the in-slot part ``[left_gap, g - right_gap)`` of its
-    frame window, and the run's slots.  Two frame windows that both meet
-    the slot ``[0, g)`` overlap iff their in-slot parts do:
-    pairwise-intersecting intervals share a point (1-D Helly).
+    ``fired_theorems`` and ``check_pair`` read an entry's ``rel``,
+    ``left_gap`` and ``right_gap`` (``common_dur`` is ``g`` minus both
+    gaps), never its slot, so a run's first entry stands for all of its
+    slots.  A group is that entry and the run's slots.
     """
     out = []
     for p, comp in enumerate(spec.components):
-        groups = [
-            (e, SlotFrameWindow(e.left_gap, g - e.right_gap), range(e.slot, e.slot + count))
-            for e, count in create_network(spec, g, p).runs
-        ]
+        groups = [(e, range(e.slot, e.slot + count)) for e, count in create_network(spec, g, p).runs]
         out.append((comp.dur, groups))
     return out
 
@@ -119,15 +110,15 @@ def _battery_census(report, x, y):
     those entry pairs, with its real slots.
     """
     g = build_gcd_partition(x, y).slot_dur
-    framed_y = _framed_networks(y, g)
-    for p, (dx, groups_x) in enumerate(_framed_networks(x, g)):
-        for q, (dy, groups_y) in enumerate(framed_y):
-            for ex, wx, slots_x in groups_x:
-                for ey, wy, slots_y in groups_y:
+    networks_y = _networks(y, g)
+    for p, (dx, groups_x) in enumerate(_networks(x, g)):
+        for q, (dy, groups_y) in enumerate(networks_y):
+            for ex, slots_x in groups_x:
+                for ey, slots_y in groups_y:
                     n = len(slots_x) * len(slots_y)
                     report.battery_pairs += n
                     fired = fired_theorems(ex, dx, ey, dy, g)
-                    overlap = check_pair(wx, wy)
+                    overlap = check_pair(ex, ey, g)
                     if fired and not overlap:
                         report.soundness_violations += n
                         report.failures.extend(
@@ -154,6 +145,8 @@ class CommutativityReport:
 
 def run_commutativity(trials: int, seed: int) -> CommutativityReport:
     """Check that swapping the two sequences never changes the answer."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = SplitMix64(seed)
     report = CommutativityReport(trials=trials, seed=seed)
     for _ in range(trials):

@@ -11,18 +11,14 @@ from coincide import (
     Relation,
     SequenceSpec,
     allen_relation,
-    aux_intervals,
-    common,
     cycle_duration,
     incidences_of,
 )
 from coincide.coincidence import (
     SLOT_SUB_COMPONENT,
     NetworkEntry,
-    check_pair,
     create_network,
     fired_theorems,
-    slot_frame_window,
 )
 from coincide.partition import build_gcd_partition
 from coincide.verify import VerifyReport
@@ -155,9 +151,9 @@ def network_from_period(
 ) -> tuple[list[NetworkEntry], bool]:
     """Rebuild a network from the absolute incidences of a given period.
 
-    Uses the interval primitives directly (relation, gap intervals,
-    common subinterval) on real interval objects, then converts slot
-    indices back to period-local form.
+    Relates the real component interval to every slot of that period,
+    reads the gaps and the common part off their endpoints, then converts
+    slot indices back to period-local form.
     """
     big_d = spec.total_dur
     base = period * big_d
@@ -170,27 +166,30 @@ def network_from_period(
         e = min(comp.end, slot.end)
         if s >= e:
             continue
-        rel = allen_relation(comp, slot)
-        left_gap = 0
-        right_gap = 0
-        for entry in aux_intervals(comp, slot) if comp != slot else []:
-            # gap inside the slot, immediately left of the component
-            if entry.aux.end == comp.start:
-                left_gap = entry.aux.dur
-            # gap inside the slot, immediately right of the component
-            if entry.aux.start == comp.end:
-                right_gap = entry.aux.dur
         entries.append(
             NetworkEntry(
                 r_global - period * slots_per_period,
-                rel,
-                left_gap,
-                right_gap,
-                common(comp, slot).dur,
+                allen_relation(comp, slot),
+                max(0, comp.start - slot.start),
+                max(0, slot.end - comp.end),
+                e - s,
             )
         )
     flag = any(e.rel in SLOT_SUB_COMPONENT for e in entries)
     return entries, flag
+
+
+def frame_window(spec: SequenceSpec, p: int, r: int, g: int) -> Interval:
+    """The full window of component ``p`` re-based to the start of slot ``r``.
+
+    The start may be negative and the end may pass ``g``.
+    """
+    return Interval(spec.offsets()[p] - r * g, spec.components[p].dur)
+
+
+def frame_overlap(wx: Interval, wy: Interval) -> bool:
+    """True when two frame windows share at least one unit."""
+    return max(wx.start, wy.start) < min(wx.end, wy.end)
 
 
 def per_pair_census(x: SequenceSpec, y: SequenceSpec) -> VerifyReport:
@@ -202,15 +201,15 @@ def per_pair_census(x: SequenceSpec, y: SequenceSpec) -> VerifyReport:
     report = VerifyReport(trials=1, seed=0)
     g = build_gcd_partition(x, y).slot_dur
     for p in range(x.length):
-        a, dx = x.offsets()[p], x.components[p].dur
+        dx = x.components[p].dur
         for q in range(y.length):
-            b, dy = y.offsets()[q], y.components[q].dur
+            dy = y.components[q].dur
             for ex in create_network(x, g, p).entries:
                 for ey in create_network(y, g, q).entries:
                     report.battery_pairs += 1
                     rules = fired_theorems(ex, dx, ey, dy, g)
-                    overlap = check_pair(
-                        slot_frame_window(a, dx, ex.slot, g), slot_frame_window(b, dy, ey.slot, g)
+                    overlap = frame_overlap(
+                        frame_window(x, p, ex.slot, g), frame_window(y, q, ey.slot, g)
                     )
                     if rules and not overlap:
                         report.soundness_violations += 1

@@ -8,7 +8,6 @@ from coincide import (
     Interval,
     NoOverlap,
     Relation,
-    SlotFrameWindow,
     allen_relation,
     build_gcd_partition,
     check_pair,
@@ -23,24 +22,41 @@ from coincide import (
     network_entry,
     oracle_decide,
     sequence,
-    slot_frame_window,
 )
 from .conftest import large_sequence_pairs, sequence_pairs
-from .refimpl import naive_windows
-
-
-def test_slot_frame_window_examples():
-    assert slot_frame_window(0, 3, 0, 4) == SlotFrameWindow(0, 3)
-    assert slot_frame_window(2, 2, 0, 4) == SlotFrameWindow(2, 4)
-    assert slot_frame_window(5, 3, 7, 1) == SlotFrameWindow(-2, 1)
-    with pytest.raises(NoOverlap):
-        slot_frame_window(0, 3, 3, 1)
+from .refimpl import frame_overlap, frame_window, naive_windows
 
 
 def test_check_pair_examples():
-    assert check_pair(SlotFrameWindow(0, 3), SlotFrameWindow(2, 4)) is True
-    assert check_pair(SlotFrameWindow(2, 3), SlotFrameWindow(5, 7)) is False
-    assert check_pair(SlotFrameWindow(0, 1), SlotFrameWindow(0, 1)) is True
+    # x[0] = [0, 3) and y[1] = [2, 4) in one 4-unit slot overlap.
+    x, y = sequence("x", 3, 1), sequence("y", 2, 2)
+    assert check_pair(network_entry(x, 4, 0, 0), network_entry(y, 4, 1, 0), 4) is True
+    # y[0] = [0, 2) and y[1] = [2, 4) only meet.
+    assert check_pair(network_entry(y, 4, 0, 0), network_entry(y, 4, 1, 0), 4) is False
+    # Windows hanging over the start of slot 1, in-slot [0, 1) and [0, 2),
+    # against w[1] = [1, 2) floating inside slot 0.
+    during = network_entry(sequence("w", 1, 1, 6), 4, 1, 0)
+    assert check_pair(network_entry(sequence("z", 5, 3), 4, 0, 1), during, 4) is False
+    assert check_pair(network_entry(sequence("z", 6, 2), 4, 0, 1), during, 4) is True
+
+
+def test_check_pair_equals_full_frame_overlap_on_every_small_window():
+    # Complete on its range, not sampled: for every slot size g <= 6, every
+    # window with start a < 2g and duration d <= 3g (padded so the period is
+    # a multiple of g), and every pair of entries of two such windows.
+    for g in range(1, 7):
+        framed = []
+        for a in range(2 * g):
+            for d in range(1, 3 * g + 1):
+                durs = ([a] if a else []) + [d] + ([-(a + d) % g] if (a + d) % g else [])
+                spec = sequence("s", *durs)
+                p = 1 if a else 0
+                framed += [
+                    (e, frame_window(spec, p, e.slot, g)) for e in create_network(spec, g, p).entries
+                ]
+        for ex, wx in framed:
+            for ey, wy in framed:
+                assert check_pair(ex, ey, g) == frame_overlap(wx, wy)
 
 
 def test_fired_production_line(pl1, pl2):
@@ -151,6 +167,8 @@ def test_network_entry_rejects_bad_slot_or_index(pl1, pl2):
     g = build_gcd_partition(pl1, pl2).slot_dur
     with pytest.raises(NoOverlap):
         network_entry(pl1, g, 0, 1)
+    with pytest.raises(NoOverlap):
+        network_entry(pl1, g, 2, 0)
     with pytest.raises(IndexOutOfRange):
         network_entry(pl1, g, 3, 0)
 
@@ -189,16 +207,15 @@ def test_battery_is_sound_on_every_entry_pair(pair):
     g = build_gcd_partition(x, y).slot_dur
     for p in range(x.length):
         nx = create_network(x, g, p)
-        ax, dx = x.offsets()[p], x.components[p].dur
+        dx = x.components[p].dur
         for q in range(y.length):
             ny = create_network(y, g, q)
-            ay, dy = y.offsets()[q], y.components[q].dur
+            dy = y.components[q].dur
             for ex in nx.entries:
-                wx = slot_frame_window(ax, dx, ex.slot, g)
+                wx = frame_window(x, p, ex.slot, g)
                 for ey in ny.entries:
-                    wy = slot_frame_window(ay, dy, ey.slot, g)
                     if fired_theorems(ex, dx, ey, dy, g):
-                        assert check_pair(wx, wy)
+                        assert frame_overlap(wx, frame_window(y, q, ey.slot, g))
 
 
 @settings(deadline=None)

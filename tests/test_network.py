@@ -13,6 +13,7 @@ from coincide import (
     build_gcd_partition,
     create_network,
     network_decide,
+    network_entry,
     sequence,
 )
 from coincide.coincidence import SLOT_SUB_COMPONENT, NetworkEntry, OpCounter
@@ -52,6 +53,15 @@ def test_create_network_errors(machine):
         create_network(machine, 3, 0)
     with pytest.raises(BadGcd):
         create_network(machine, 0, 0)
+
+
+@pytest.mark.parametrize("g", [3, 0, -2, 2.0, True, "2"])
+def test_network_and_entry_share_the_slot_size_check(pl1, g):
+    # PL-1 has period 8: each g is not an int slot size dividing it.
+    with pytest.raises(BadGcd):
+        create_network(pl1, g, 0)
+    with pytest.raises(BadGcd):
+        network_entry(pl1, g, 0, 0)
 
 
 def _divisors(n: int) -> list[int]:

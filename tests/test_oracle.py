@@ -4,12 +4,10 @@ import pytest
 from hypothesis import given, settings
 
 from coincide import (
-    Derived,
     IndexOutOfRange,
     Interval,
     allen_relation,
     enumerate_coincidences,
-    holds,
     oracle_decide,
     sequence,
 )
@@ -100,4 +98,4 @@ def test_subintervals_of_windows_are_coincidences(weekday, machine):
                 sub = Interval.from_endpoints(s, e)
                 if sub == w:
                     continue
-                assert any(holds(Derived.SUB, sub, win) for win in windows)
+                assert any(win.start <= sub.start and sub.end <= win.end for win in windows)

@@ -43,6 +43,12 @@ def test_align_range_errors():
         align_slot(part, 0, 8)
 
 
+@pytest.mark.parametrize("r, s", [(True, False), (False, 0), (0, True), (1.0, 0), (0, "1")])
+def test_align_rejects_non_int_residues(r, s):
+    with pytest.raises(IndexOutOfRange):
+        align_slot(GcdPartition(1, 7, 8), r, s)
+
+
 @given(sequence_pairs())
 def test_partition_invariants(pair):
     x, y = pair

@@ -41,7 +41,7 @@ def test_verification_small_run_passes():
 def test_verification_is_deterministic():
     a = run_verification(trials=50, seed=7)
     b = run_verification(trials=50, seed=7)
-    assert a.summary_lines(True) == b.summary_lines(True)
+    assert a.summary_lines() == b.summary_lines()
     assert a.pairs_checked == b.pairs_checked
     assert a.exhaustiveness_gaps == b.exhaustiveness_gaps
 
@@ -74,8 +74,9 @@ def test_grouped_census_reports_every_violating_entry_pair(monkeypatch, never_ov
     # overlap, so the second case also forces every overlap test to fail.
     for module in (coincide.verify, refimpl):
         monkeypatch.setattr(module, "fired_theorems", lambda ex, dx, ey, dy, g: {"T6.X"})
-        if never_overlap:
-            monkeypatch.setattr(module, "check_pair", lambda wx, wy: False)
+    if never_overlap:
+        monkeypatch.setattr(coincide.verify, "check_pair", lambda ex, ey, g: False)
+        monkeypatch.setattr(refimpl, "frame_overlap", lambda wx, wy: False)
     rng = SplitMix64(7)
     violations = 0
     for _ in range(50):
@@ -89,6 +90,11 @@ def test_grouped_census_reports_every_violating_entry_pair(monkeypatch, never_ov
 def test_verification_rejects_zero_trials():
     with pytest.raises(ValueError):
         run_verification(trials=0, seed=1)
+
+
+def test_commutativity_rejects_zero_trials():
+    with pytest.raises(ValueError):
+        run_commutativity(trials=0, seed=1)
 
 
 def test_commutativity_small_run():
