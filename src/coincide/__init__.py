@@ -31,7 +31,6 @@ from .coincidence import (
     Network,
     NetworkEntry,
     NoOverlap,
-    OpCounter,
     SLOT_SUB_COMPONENT,
     check_pair,
     create_network,
@@ -61,7 +60,6 @@ __all__ = [
     "NetworkEntry",
     "NoOverlap",
     "NonPositiveDuration",
-    "OpCounter",
     "OracleReport",
     "Relation",
     "SLOT_SUB_COMPONENT",

@@ -6,11 +6,12 @@ projection examines D * (D - 1) incidence pairs while the grid method's
 work stays proportional to D.  Operation counts, not wall-clock time,
 are the metric; both are exactly reproducible.
 
-Grid-method ops per query are those of the paper's network procedure
-(``network_decide``): cursor-walk steps of each network actually built
-(components skipped + slots skipped + entries emitted) plus entry-pair
-checks.  The walk is charged arithmetically from the network's runs, so
-the count is the paper's cost model, not the time this code takes.
+Grid-method ops per query are the steps ``network_decide`` returns with
+its verdict, the paper's network procedure: cursor-walk steps of each
+network actually built (components skipped + slots skipped + entries
+emitted) plus entry-pair checks.  The walk is charged arithmetically
+from the network's runs, so the count is the paper's cost model, not
+the time this code takes.
 Projection ops: incidence pairs examined.  Queried components are the
 middle ones of each sequence.
 """
@@ -20,7 +21,7 @@ import math
 import statistics
 from dataclasses import dataclass
 
-from .coincidence import OpCounter, network_decide
+from .coincidence import network_decide
 from .oracle import oracle_decide
 from .recurrence import sequence
 
@@ -62,10 +63,9 @@ def run_bench(max_exponent: int) -> BenchReport:
         y = sequence("y", *([1] * (big_d - 1)))
         p = big_d // 2
         q = (big_d - 1) // 2
-        ops = OpCounter()
-        network_decide(x, y, p, q, ops=ops)
+        _, steps = network_decide(x, y, p, q)
         oracle_ops = oracle_decide(x, y, p, q).comparisons
-        rows.append(BenchRow(big_d, ops.steps, oracle_ops))
+        rows.append(BenchRow(big_d, steps, oracle_ops))
     durs = [r.max_dur for r in rows]
     return BenchReport(
         tuple(rows),

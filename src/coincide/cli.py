@@ -50,10 +50,23 @@ def _parse_sequence(obj, which: str) -> SequenceSpec:
 
 def _load_document(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("input document is nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("input document must be a JSON object")
     return doc
+
+
+def _load_pair(args) -> tuple[dict, SequenceSpec, SequenceSpec]:
+    """The input document, its ``unit`` checked, and its two sequences."""
+    doc = _load_document(args.input)
+    x = _parse_sequence(doc.get("x"), "x")
+    y = _parse_sequence(doc.get("y"), "y")
+    if "unit" in doc and not isinstance(doc["unit"], str):
+        raise ValueError(f"unit must be a string, got {doc['unit']!r}")
+    return doc, x, y
 
 
 def _component_key(raw) -> int | str:
@@ -65,9 +78,7 @@ def _component_key(raw) -> int | str:
 
 
 def _load_query(args) -> tuple[SequenceSpec, SequenceSpec, int, int, str | None]:
-    doc = _load_document(args.input)
-    x = _parse_sequence(doc.get("x"), "x")
-    y = _parse_sequence(doc.get("y"), "y")
+    doc, x, y = _load_pair(args)
     p_key = _component_key(args.p if args.p is not None else doc.get("p"))
     q_key = _component_key(args.q if args.q is not None else doc.get("q"))
     if p_key is None or q_key is None:
@@ -147,9 +158,7 @@ def _grid(part: GcdPartition) -> dict:
 
 
 def _fired_for(x, y, p, q, via, g: int) -> list[str]:
-    ex = network_entry(x, g, p, via[0])
-    ey = network_entry(y, g, q, via[1])
-    return sorted(fired_theorems(ex, x.components[p].dur, ey, y.components[q].dur, g))
+    return sorted(fired_theorems(network_entry(x, g, p, via[0]), network_entry(y, g, q, via[1]), g))
 
 
 def cmd_check(args) -> int:
@@ -198,24 +207,20 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    doc = _load_document(args.input)
-    x = _parse_sequence(doc.get("x"), "x")
-    y = _parse_sequence(doc.get("y"), "y")
+    doc, x, y = _load_pair(args)
     _emit(args, _grid(build_gcd_partition(x, y)), doc.get("unit"))
     return 0
 
 
 def cmd_network(args) -> int:
-    doc = _load_document(args.input)
-    x = _parse_sequence(doc.get("x"), "x")
-    y = _parse_sequence(doc.get("y"), "y")
+    _, x, y = _load_pair(args)
     spec = x if args.side == "x" else y
     part = build_gcd_partition(x, y)
     net = create_network(spec, part.slot_dur, args.index)
     if args.format == "json":
         doc = {
             "sequence": spec.name,
-            "component": net.component,
+            "component": args.index,
             "g": part.slot_dur,
             "entries": [
                 {
@@ -231,8 +236,8 @@ def cmd_network(args) -> int:
         }
         print(_to_json(doc))
     else:
-        comp = spec.components[net.component]
-        print(f"network: {spec.name}[{net.component}] {comp.name!r} on slot grid g={part.slot_dur}")
+        comp = spec.components[args.index]
+        print(f"network: {spec.name}[{args.index}] {comp.name!r} on slot grid g={part.slot_dur}")
         for e in net.entries:
             print(
                 f"  slot {e.slot}: {e.rel.value}  left_gap={e.left_gap} "
@@ -243,8 +248,6 @@ def cmd_network(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.trials < 1:
-        raise ValueError(f"trials must be >= 1, got {args.trials}")
     report = run_verification(args.trials, args.seed)
     if args.format == "json":
         doc = {

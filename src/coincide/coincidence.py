@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .intervals import CoincideError, Interval, Relation, allen_relation
 from .partition import BadGcd, GcdPartition, build_gcd_partition
-from .recurrence import SequenceSpec, _check_index
+from .recurrence import IndexOutOfRange, SequenceSpec, _check_index
 
 # Relations meaning the slot lies fully inside the component window.  Any
 # such entry guarantees a coincidence against every component of the other
@@ -37,16 +37,6 @@ from .recurrence import SequenceSpec, _check_index
 SLOT_SUB_COMPONENT = frozenset(
     {Relation.EQUALS, Relation.STARTED_BY, Relation.FINISHED_BY, Relation.CONTAINS}
 )
-
-
-@dataclass
-class OpCounter:
-    """Deterministic primitive-operation tally for benchmarking."""
-
-    steps: int = 0
-
-    def add(self, n: int) -> None:
-        self.steps += n
 
 
 @dataclass(frozen=True)
@@ -86,7 +76,6 @@ class Network:
     component in the affirmative.
     """
 
-    component: int
     runs: tuple[tuple[NetworkEntry, int], ...]
     flag: bool
 
@@ -128,6 +117,8 @@ def network_entry(spec: SequenceSpec, g: int, p: int, r: int) -> NetworkEntry:
     """
     _check_index(spec, p)
     _check_slot_dur(spec, g)
+    if not isinstance(r, int) or isinstance(r, bool):
+        raise IndexOutOfRange(f"slot index must be an integer, got {r!r}")
     a, d = spec.offsets()[p], spec.components[p].dur
     if not a // g <= r <= (a + d - 1) // g:
         raise NoOverlap(f"window [{a}, {a + d}) does not overlap slot {r} of size {g}")
@@ -162,24 +153,25 @@ def create_network(spec: SequenceSpec, g: int, p: int) -> Network:
     if last > first:
         runs.append((_entry(a, d, last, g), 1))
     flag = any(e.rel in SLOT_SUB_COMPONENT for e, _ in runs)
-    return Network(p, tuple(runs), flag)
+    return Network(tuple(runs), flag)
 
 
-def fired_theorems(
-    ex: NetworkEntry, dx: int, ey: NetworkEntry, dy: int, g: int
-) -> set[str]:
+def fired_theorems(ex: NetworkEntry, ey: NetworkEntry, g: int) -> set[str]:
     """Identifiers of the sufficient-condition rules the entry pair satisfies.
 
-    Each rule reads only the entry fields plus the component durations
-    and slot size, and each is sound: if any fires, the frame windows of
-    the two entries overlap.  The set is not exhaustive; overlapping
-    pairs that fire nothing are possible and are surfaced by the
-    verification harness as a census, not a failure.
+    Each rule reads only the two entries and the slot size, and each is
+    sound: if any fires, the frame windows of the two entries overlap.
+    A rule reads a component's duration only on a side whose relation is
+    ``starts``, ``finishes`` or ``during``; there the component lies inside
+    the slot, so its duration is the entry's ``common_dur``.  The set is
+    not exhaustive; overlapping pairs that fire nothing are possible and
+    are surfaced by the verification harness as a census, not a failure.
 
     Base rules T6.1-T6.9 take the x-side entry first; C6.1-C6.6 are the
     same conditions with the two sides exchanged.
     """
     rx, ry = ex.rel, ey.rel
+    cx, cy = ex.common_dur, ey.common_dur
     fired: set[str] = set()
     ov, ovb = Relation.OVERLAPS, Relation.OVERLAPPED_BY
     st, fin, dur = Relation.STARTS, Relation.FINISHES, Relation.DURING
@@ -198,35 +190,35 @@ def fired_theorems(
         fired.add("C6.1")
 
     # Opposite edges, but together the windows are longer than the slot.
-    if rx is fin and ry is st and dx + dy > g:
+    if rx is fin and ry is st and cx + cy > g:
         fired.add("T6.2")
-    if ry is fin and rx is st and dx + dy > g:
+    if ry is fin and rx is st and cx + cy > g:
         fired.add("C6.2")
 
     # One window starts the slot, the other floats inside it but starts
     # before the first one ends.
-    if rx is st and ry is dur and ey.left_gap < dx:
+    if rx is st and ry is dur and ey.left_gap < cx:
         fired.add("T6.3")
-    if ry is st and rx is dur and ex.left_gap < dy:
+    if ry is st and rx is dur and ex.left_gap < cy:
         fired.add("C6.3")
 
     # Mirror image at the slot's end.
-    if rx is fin and ry is dur and ey.right_gap < dx:
+    if rx is fin and ry is dur and ey.right_gap < cx:
         fired.add("T6.4")
-    if ry is fin and rx is dur and ex.right_gap < dy:
+    if ry is fin and rx is dur and ex.right_gap < cy:
         fired.add("C6.4")
 
     # One window overhangs the slot start, the other floats inside and
     # begins before the overhanging part runs out.
-    if rx is ov and ry is dur and ey.left_gap < ex.common_dur:
+    if rx is ov and ry is dur and ey.left_gap < cx:
         fired.add("T6.5")
-    if ry is ov and rx is dur and ex.left_gap < ey.common_dur:
+    if ry is ov and rx is dur and ex.left_gap < cy:
         fired.add("C6.5")
 
     # Overhang at the slot end instead.
-    if rx is ovb and ry is dur and ey.right_gap < ex.common_dur:
+    if rx is ovb and ry is dur and ey.right_gap < cx:
         fired.add("T6.6")
-    if ry is ovb and rx is dur and ex.right_gap < ey.common_dur:
+    if ry is ovb and rx is dur and ex.right_gap < cy:
         fired.add("C6.6")
 
     # Same anchor on both sides: both start the slot or both finish it.
@@ -237,7 +229,7 @@ def fired_theorems(
     # than the other window's length.
     if rx is dur and ry is dur:
         jj, kk = ex.left_gap, ey.left_gap
-        if (kk <= jj < kk + dy) or (jj <= kk < jj + dx):
+        if (kk <= jj < kk + cy) or (jj <= kk < jj + cx):
             fired.add("T6.8")
 
     return fired
@@ -350,40 +342,35 @@ def enumerate_coincidences(
     return tuple(Interval.from_endpoints(s, e) for s, e in spans)
 
 
-def network_decide(
-    x: SequenceSpec, y: SequenceSpec, p: int, q: int, ops: OpCounter | None = None
-) -> bool:
+def network_decide(x: SequenceSpec, y: SequenceSpec, p: int, q: int) -> tuple[bool, int]:
     """The paper's network verdict procedure for ``x[p]`` and ``y[q]``.
 
     Build the y-side network and accept on its flag; otherwise build the
     x-side network and accept on its flag; otherwise test every entry
     pair with ``check_pair``.  Without a flag each network has at
-    most two entries, so the pair scan is constant-size.  ``ops`` (when
-    given) is charged the cursor walk of each network built, one step per
-    component skipped, per slot skipped and per entry emitted, and one
-    step per pair test.  The walk to component ``q`` with first slot ``f``
-    and last slot ``l`` is ``q + f + (l - f + 1)`` steps, charged
-    arithmetically from the runs, so the procedure is O(1) at any
-    duration.
+    most two entries, so the pair scan is constant-size.
+
+    Returns the verdict and its cost in steps: the cursor walk of each
+    network built, one step per component skipped, per slot skipped and
+    per entry emitted, and one step per pair test.  The walk to component
+    ``q`` with first slot ``f`` and last slot ``l`` is ``q + f + (l - f + 1)``
+    steps, charged arithmetically from the runs, so the procedure is O(1)
+    at any duration.
     """
     _check_index(x, p)
-    _check_index(y, q)
     g = build_gcd_partition(x, y).slot_dur
     ny = create_network(y, g, q)
-    if ops is not None:
-        ops.add(q + ny.runs[-1][0].slot + 1)
+    steps = q + ny.runs[-1][0].slot + 1
     if ny.flag:
-        return True
+        return True, steps
     nx = create_network(x, g, p)
-    if ops is not None:
-        ops.add(p + nx.runs[-1][0].slot + 1)
+    steps += p + nx.runs[-1][0].slot + 1
     if nx.flag:
-        return True
+        return True, steps
     # An interior run is flagged, so every run left here is a single slot.
     for ex, _ in nx.runs:
         for ey, _ in ny.runs:
-            if ops is not None:
-                ops.add(1)
+            steps += 1
             if check_pair(ex, ey, g):
-                return True
-    return False
+                return True, steps
+    return False, steps

@@ -59,30 +59,6 @@ class Relation(Enum):
     FINISHED_BY = "finished-by"
     EQUALS = "equals"
 
-    @property
-    def inverse(self) -> Relation:
-        return _INVERSE[self]
-
-    def __str__(self) -> str:
-        return self.value
-
-
-_INVERSE = {
-    Relation.BEFORE: Relation.AFTER,
-    Relation.AFTER: Relation.BEFORE,
-    Relation.MEETS: Relation.MET_BY,
-    Relation.MET_BY: Relation.MEETS,
-    Relation.OVERLAPS: Relation.OVERLAPPED_BY,
-    Relation.OVERLAPPED_BY: Relation.OVERLAPS,
-    Relation.STARTS: Relation.STARTED_BY,
-    Relation.STARTED_BY: Relation.STARTS,
-    Relation.DURING: Relation.CONTAINS,
-    Relation.CONTAINS: Relation.DURING,
-    Relation.FINISHES: Relation.FINISHED_BY,
-    Relation.FINISHED_BY: Relation.FINISHES,
-    Relation.EQUALS: Relation.EQUALS,
-}
-
 
 def allen_relation(i: Interval, j: Interval) -> Relation:
     """Return the unique basic relation holding between ``i`` and ``j``."""

@@ -27,6 +27,9 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+# Draw bounds of a random instance (module docstring).
+_MAX_COMPONENTS = 8
+_MAX_DUR = 16
 
 
 class SplitMix64:
@@ -45,18 +48,14 @@ class SplitMix64:
         return lo + self.next_u64() % (hi - lo + 1)
 
 
-def random_sequence(
-    rng: SplitMix64, name: str, max_components: int = 8, max_dur: int = 16
-) -> SequenceSpec:
-    n = rng.randint(1, max_components)
-    comps = tuple(Component(f"c{i}", rng.randint(1, max_dur)) for i in range(n))
+def random_sequence(rng: SplitMix64, name: str) -> SequenceSpec:
+    n = rng.randint(1, _MAX_COMPONENTS)
+    comps = tuple(Component(f"c{i}", rng.randint(1, _MAX_DUR)) for i in range(n))
     return SequenceSpec(name, comps)
 
 
-def random_instance(
-    rng: SplitMix64, max_components: int = 8, max_dur: int = 16
-) -> tuple[SequenceSpec, SequenceSpec]:
+def random_instance(rng: SplitMix64) -> tuple[SequenceSpec, SequenceSpec]:
     """One verification instance: two sequences, draw order fixed."""
-    x = random_sequence(rng, "x", max_components, max_dur)
-    y = random_sequence(rng, "y", max_components, max_dur)
+    x = random_sequence(rng, "x")
+    y = random_sequence(rng, "y")
     return x, y

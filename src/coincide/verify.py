@@ -88,18 +88,17 @@ def run_verification(trials: int, seed: int, include_battery: bool = True) -> Ve
 
 
 def _networks(spec, g):
-    """Per component: its duration and its network runs, one group per run.
+    """Per component: its network runs, one group per run.
 
     ``fired_theorems`` and ``check_pair`` read an entry's ``rel``,
     ``left_gap`` and ``right_gap`` (``common_dur`` is ``g`` minus both
     gaps), never its slot, so a run's first entry stands for all of its
     slots.  A group is that entry and the run's slots.
     """
-    out = []
-    for p, comp in enumerate(spec.components):
-        groups = [(e, range(e.slot, e.slot + count)) for e, count in create_network(spec, g, p).runs]
-        out.append((comp.dur, groups))
-    return out
+    return [
+        [(e, range(e.slot, e.slot + count)) for e, count in create_network(spec, g, p).runs]
+        for p in range(spec.length)
+    ]
 
 
 def _battery_census(report, x, y):
@@ -111,13 +110,13 @@ def _battery_census(report, x, y):
     """
     g = build_gcd_partition(x, y).slot_dur
     networks_y = _networks(y, g)
-    for p, (dx, groups_x) in enumerate(_networks(x, g)):
-        for q, (dy, groups_y) in enumerate(networks_y):
+    for p, groups_x in enumerate(_networks(x, g)):
+        for q, groups_y in enumerate(networks_y):
             for ex, slots_x in groups_x:
                 for ey, slots_y in groups_y:
                     n = len(slots_x) * len(slots_y)
                     report.battery_pairs += n
-                    fired = fired_theorems(ex, dx, ey, dy, g)
+                    fired = fired_theorems(ex, ey, g)
                     overlap = check_pair(ex, ey, g)
                     if fired and not overlap:
                         report.soundness_violations += n

@@ -201,13 +201,11 @@ def per_pair_census(x: SequenceSpec, y: SequenceSpec) -> VerifyReport:
     report = VerifyReport(trials=1, seed=0)
     g = build_gcd_partition(x, y).slot_dur
     for p in range(x.length):
-        dx = x.components[p].dur
         for q in range(y.length):
-            dy = y.components[q].dur
             for ex in create_network(x, g, p).entries:
                 for ey in create_network(y, g, q).entries:
                     report.battery_pairs += 1
-                    rules = fired_theorems(ex, dx, ey, dy, g)
+                    rules = fired_theorems(ex, ey, g)
                     overlap = frame_overlap(
                         frame_window(x, p, ex.slot, g), frame_window(y, q, ey.slot, g)
                     )

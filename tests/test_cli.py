@@ -180,6 +180,37 @@ def test_boolean_component_key_is_input_error(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command", ["check", "partition"])
+@pytest.mark.parametrize("unit", [5, ["days"], True, None], ids=["number", "list", "bool", "null"])
+def test_non_string_unit_is_input_error(capsys, tmp_path, command, unit):
+    doc = json.load(open(QUERIES / "factory.json"))
+    doc["unit"] = unit
+    code, out, err = run(capsys, command, "--input", write_doc(tmp_path, doc))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: unit must be a string, got {unit!r}\n"
+
+
+@pytest.mark.parametrize("command", ["check", "partition"])
+def test_missing_unit_is_valid(capsys, tmp_path, command):
+    doc = json.load(open(QUERIES / "factory.json"))
+    del doc["unit"]
+    code, out, _ = run(capsys, command, "--input", write_doc(tmp_path, doc))
+    assert code == 0
+    assert "cycle: 56\n" in out
+
+
+def test_deeply_nested_document_is_input_error(capsys, tmp_path):
+    # Far deeper than any recursion limit: the parser must not crash.
+    depth = 200_000
+    path = tmp_path / "deep.json"
+    path.write_text('{"x": ' + "[" * depth + "]" * depth + "}")
+    code, out, err = run(capsys, "check", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: input document is nested too deeply\n"
+
+
 def test_check_missing_file(capsys):
     code, _, err = run(capsys, "check", "--input", "/nonexistent/query.json")
     assert code == 2

@@ -73,7 +73,7 @@ def test_grouped_census_reports_every_violating_entry_pair(monkeypatch, never_ov
     # Interior slots, the only shape shared by several entries, always
     # overlap, so the second case also forces every overlap test to fail.
     for module in (coincide.verify, refimpl):
-        monkeypatch.setattr(module, "fired_theorems", lambda ex, dx, ey, dy, g: {"T6.X"})
+        monkeypatch.setattr(module, "fired_theorems", lambda ex, ey, g: {"T6.X"})
     if never_overlap:
         monkeypatch.setattr(coincide.verify, "check_pair", lambda ex, ey, g: False)
         monkeypatch.setattr(refimpl, "frame_overlap", lambda wx, wy: False)
