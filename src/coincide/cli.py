@@ -271,8 +271,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.max_exponent < 4:
-        raise ValueError(f"--max-exponent must be >= 4, got {args.max_exponent}")
     report = run_bench(args.max_exponent)
     if args.format == "json":
         doc = {

@@ -10,8 +10,13 @@ overlaps, overlaps in the shared slot frame iff ``m = r - s`` lies in
 the components coincide iff ``lo <= hi``.  Each admissible ``m`` shifts
 the y window by ``m * g + c`` against the x window and gives exactly one
 shared window per joint cycle; one modular inverse of R mod S, the CRT
-step of ``align_slot``, places it.  Witness and enumeration therefore
-cost one step per window, never one per slot.
+step of ``align_slot``, places it.  Enumeration therefore costs one step
+per window, never one per slot.  The earliest window costs O(log S): the
+windows with ``m * g + c <= 0`` start at their x incidence, the n-th x
+period of the cycle, so the earliest of them is the least n whose residue
+``-n * R (mod S)`` falls in their interval of shifts, a Euclid-like
+recursion (``_first_hit``); every other window starts at its y incidence
+and is the same case with the roles of x and y exchanged.
 
 The paper's per-period slot networks, its network verdict procedure and
 the qualitative rule battery stay as the explanation layer (``check``
@@ -283,6 +288,47 @@ class _ShiftKernel:
         """Every shared window of one cycle, one per admissible ``m``, unsorted."""
         return (self.window(m) for m in range(self.lo, self.hi + 1))
 
+    def first_x_start(self) -> tuple[int, int] | None:
+        """The earliest window that starts at an x incidence, or None.
+
+        Those are the windows with ``m * g + c <= 0``, so ``m`` runs over
+        ``[lo, lo + width]`` with ``width = min(hi, floor(-c / g)) - lo``.
+        The window at ``m`` starts at ``a + g * R * n``, the start of x's
+        period ``n``, where ``m = -n * R (mod S)``.  The earliest is
+        therefore the least ``n >= 0`` with ``(-n * R - lo) mod S <= width``;
+        ``width < S`` because one y incidence at most covers an x start.
+        """
+        part = self.part
+        big_r, big_s = part.slots_x, part.slots_y
+        width = min(self.hi, (self.a - self.b) // part.slot_dur) - self.lo
+        if width < 0:
+            return None
+        low = self.lo % big_s
+        n = 0 if low + width >= big_s else _first_hit(-big_r % big_s, big_s, low, low + width)
+        return self.window(self.lo + (-n * big_r - self.lo) % big_s)
+
+
+def _first_hit(a: int, m: int, low: int, high: int) -> int:
+    """The least ``k >= 0`` with ``low <= a * k mod m <= high``.
+
+    Needs ``0 <= low <= high < m`` and ``gcd(a, m) = 1``; then ``a * k``
+    runs through every residue, so a hit exists.  If no multiple of ``a``
+    lies in ``[low, high]``, the hit is the least ``k`` with
+    ``low + m * j <= a * k <= high + m * j`` for the least ``j`` that
+    admits one.  That interval holds a multiple of ``a`` iff
+    ``m * j mod a`` lies in ``[a - high % a, a - low % a]``: the same
+    question on ``(m mod a, a)``, so the recursion follows Euclid's
+    algorithm and takes O(log m) steps.
+    """
+    if low == 0:
+        return 0
+    a %= m
+    k = -(-low // a)
+    if a * k <= high:
+        return k
+    j = _first_hit(m, a, a - high % a, a - low % a)
+    return -(-(low + m * j) // a)
+
 
 def _shift_kernel(x: SequenceSpec, y: SequenceSpec, p: int, q: int) -> _ShiftKernel:
     _check_index(x, p)
@@ -324,8 +370,19 @@ def first_coincidence(x: SequenceSpec, y: SequenceSpec, p: int, q: int) -> Inter
     A window is the intersection of one incidence of each component, so
     it can touch a neighbouring window.  Returns None when the components
     never coincide.
+
+    A window starts at its x incidence or at its y incidence.  The queries
+    ``(x, y, p, q)`` and ``(y, x, q, p)`` have the same windows, since an
+    intersection of two incidences does not depend on which is named
+    first; so the windows that start at a y incidence are those the
+    exchanged kernel starts at its first side, and the earliest window is
+    the earlier of the two kernels' ``first_x_start``, each O(log S).
     """
-    first = min(_shift_kernel(x, y, p, q).windows(), default=None)
+    starts = (
+        _shift_kernel(x, y, p, q).first_x_start(),
+        _shift_kernel(y, x, q, p).first_x_start(),
+    )
+    first = min((w for w in starts if w is not None), default=None)
     return None if first is None else Interval.from_endpoints(*first)
 
 

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import math
+
 import pytest
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from coincide import Component, Interval, SequenceSpec, sequence
@@ -53,6 +56,17 @@ def large_sequence_pairs(draw, max_g: int = 2**58, max_slots: int = 12, max_comp
         draw(_split("x", g * big_r, max_components)),
         draw(_split("y", g * big_s, max_components)),
     )
+
+
+@st.composite
+def many_window_queries(draw, max_dur: int = 30_000, max_components: int = 3):
+    """Queries ``(x, y, p, q)`` on a slot of at most 3 units whose queried
+    components last up to ``max_dur`` units: up to ``2 * max_dur`` windows
+    per cycle, so the earliest one can lie far from the origin."""
+    x = draw(sequence_specs("x", max_components, max_dur))
+    y = draw(sequence_specs("y", max_components, max_dur))
+    assume(math.gcd(x.total_dur, y.total_dur) <= 3)
+    return x, y, draw(st.integers(0, x.length - 1)), draw(st.integers(0, y.length - 1))
 
 
 @pytest.fixture

@@ -17,6 +17,7 @@ from coincide import (
 from coincide.coincidence import (
     SLOT_SUB_COMPONENT,
     NetworkEntry,
+    _shift_kernel,
     create_network,
     fired_theorems,
 )
@@ -64,6 +65,13 @@ def naive_windows(x: SequenceSpec, y: SequenceSpec, p: int, q: int) -> list[Inte
             if s < e:
                 out.append(Interval.from_endpoints(s, e))
     return sorted(out, key=lambda w: w.start)
+
+
+def scan_first_window(x: SequenceSpec, y: SequenceSpec, p: int, q: int) -> Interval | None:
+    """Earliest shared window by scanning every window of the kernel, one
+    step per admissible slot difference."""
+    first = min(_shift_kernel(x, y, p, q).windows(), default=None)
+    return None if first is None else Interval.from_endpoints(*first)
 
 
 def cursor_network(

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from coincide import oracle_decide, resolve_component, sequence
 from coincide.cli import _to_json, main
+from .refimpl import scan_first_window
 
 QUERIES = Path(__file__).resolve().parents[1] / "queries"
 
@@ -370,8 +371,9 @@ def test_bench_json_round_trip(capsys):
 
 
 def test_bench_small_exponent(capsys):
-    code, _, _ = run(capsys, "bench", "--max-exponent", "3")
+    code, _, err = run(capsys, "bench", "--max-exponent", "3")
     assert code == 2
+    assert err == "error: max exponent must be >= 4, got 3\n"
 
 
 def test_result_document_round_trips(capsys, factory_path):
@@ -417,13 +419,17 @@ def test_check_long_component_is_constant_time(capsys, tmp_path):
     elapsed = time.perf_counter() - t0
     assert code == 0
     doc = json.loads(out)
-    rep = oracle_decide(sequence("x", *durs_x), sequence("y", *durs_y), 0, 0)
-    assert doc["coincides"] == rep.decision.coincides
-    assert doc["witness"] in [{"start": w.start, "end": w.end} for w in rep.windows]
+    assert doc["coincides"] is True
+    # The witness is exactly the intersection of the x[0] and y[0]
+    # incidences that hold its start; both components start their period.
+    s, e = doc["witness"]["start"], doc["witness"]["end"]
+    xs = s // sum(durs_x) * sum(durs_x)
+    ys = s // sum(durs_y) * sum(durs_y)
+    assert (max(xs, ys), min(xs + durs_x[0], ys + durs_y[0])) == (s, e)
     assert elapsed < 2.0
 
 
-def test_witness_long_components_is_linear_in_windows(capsys, tmp_path):
+def test_witness_long_components_agrees_with_projection(capsys, tmp_path):
     # Two 3000-unit components on coprime periods: an all-entry-pairs scan
     # here examined 9 million pairs.
     durs_x, durs_y = (3000, 1), (3000, 2)
@@ -435,6 +441,29 @@ def test_witness_long_components_is_linear_in_windows(capsys, tmp_path):
     first = oracle_decide(sequence("x", *durs_x), sequence("y", *durs_y), 0, 0).windows[0]
     assert json.loads(out)["witness"] == {"start": first.start, "end": first.end}
     assert elapsed < 2.0
+
+
+def test_witness_at_a_billion_units_is_fast(capsys, tmp_path):
+    # x[1] = [5, 10^9 + 5) and y[1] = [7, 10^9 + 8) with g = 3: about
+    # 6.7 * 10^8 windows per cycle, which a per-window scan takes minutes
+    # over.  The first incidences meet first, and no incidence of y[1]
+    # covers [5, 7), so the earliest window starts at 7, not the origin.
+    path = write_doc(tmp_path, _long_component_doc((5, 10**9), (7, 10**9 + 1)) | {"p": 1, "q": 1})
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "witness", "--input", path, "--format", "json")
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    assert json.loads(out)["witness"] == {"start": 7, "end": 10**9 + 5}
+    assert elapsed < 2.0
+
+
+def test_witness_equals_the_window_scan_on_the_same_shape_cut_down(capsys, tmp_path):
+    durs_x, durs_y = (5, 10**5), (7, 10**5 + 1)
+    path = write_doc(tmp_path, _long_component_doc(durs_x, durs_y) | {"p": 1, "q": 1})
+    code, out, _ = run(capsys, "witness", "--input", path, "--format", "json")
+    assert code == 0
+    first = scan_first_window(sequence("x", *durs_x), sequence("y", *durs_y), 1, 1)
+    assert json.loads(out)["witness"] == {"start": first.start, "end": first.end}
 
 
 def _named_doc(x_names, y_names, p, q):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 
@@ -23,8 +25,9 @@ from coincide import (
     oracle_decide,
     sequence,
 )
-from .conftest import large_sequence_pairs, sequence_pairs
-from .refimpl import frame_overlap, frame_window, naive_windows
+from coincide.coincidence import _first_hit
+from .conftest import large_sequence_pairs, many_window_queries, sequence_pairs
+from .refimpl import frame_overlap, frame_window, naive_windows, scan_first_window
 
 
 def test_check_pair_examples():
@@ -136,7 +139,8 @@ def _assert_kernel_agrees(x, y):
             d = decide(x, y, p, q)
             assert d.coincides == network_decide(x, y, p, q)[0] == rep.decision.coincides
             assert d.witness is None or d.witness in rep.windows
-            assert first_coincidence(x, y, p, q) == rep.decision.witness
+            first = first_coincidence(x, y, p, q)
+            assert first == rep.decision.witness == scan_first_window(x, y, p, q)
             assert enumerate_coincidences(x, y, p, q) == rep.windows
 
 
@@ -150,6 +154,24 @@ def test_kernel_agrees_with_networks_and_projection(pair):
 @given(large_sequence_pairs())
 def test_kernel_agrees_at_large_durations(pair):
     _assert_kernel_agrees(*pair)
+
+
+@settings(deadline=None)
+@given(many_window_queries())
+def test_first_coincidence_equals_the_window_scan_on_many_windows(query):
+    assert first_coincidence(*query) == scan_first_window(*query)
+
+
+def test_first_hit_equals_brute_force_on_every_small_modulus():
+    for m in range(1, 41):
+        for a in range(m):
+            if math.gcd(a, m) != 1:
+                continue
+            residues = [a * k % m for k in range(m)]
+            for low in range(m):
+                for high in range(low, m):
+                    first = next(k for k, v in enumerate(residues) if low <= v <= high)
+                    assert _first_hit(a, m, low, high) == first, (a, m, low, high)
 
 
 def test_windows_are_per_incidence_pair_not_maximal():

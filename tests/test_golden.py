@@ -3,8 +3,11 @@
 Each case is one CLI invocation; its expected stdout is
 ``tests/golden/<case>.txt``.  The cases cover every query command and
 ``partition`` on every ``queries/*.json`` document, ``network`` on every
-side and component index of them, ``verify --trials 200 --seed 42`` and
-``bench --max-exponent 10``, each in text and JSON.
+side and component index of them, ``witness`` on ``golden/many_windows.json``
+(hundreds of windows per cycle, the earliest one neither at the origin nor
+at the first slot difference; once from each side's incidence),
+``verify --trials 200 --seed 42`` and ``bench --max-exponent 10``, each in
+text and JSON.
 
 After a deliberate output change, rewrite the files with
 ``PYTHONPATH=src python -m tests.test_golden`` and review the diff.
@@ -38,7 +41,14 @@ def _cases() -> dict[str, list[str]]:
                         "network", "--input", str(path), "--side", side,
                         "--index", str(idx), "--format", fmt,
                     ]
+    many = str(GOLDEN / "many_windows.json")
     for fmt in FORMATS:
+        # The document's own pair starts its earliest window at an x
+        # incidence; Load/Clean starts it at a y incidence.
+        cases[f"many_windows.witness.{fmt}"] = ["witness", "--input", many, "--format", fmt]
+        cases[f"many_windows.witness-p0-q2.{fmt}"] = [
+            "witness", "--input", many, "--p", "0", "--q", "2", "--format", fmt,
+        ]
         cases[f"verify-200-s42.{fmt}"] = ["verify", "--trials", "200", "--seed", "42", "--format", fmt]
         cases[f"bench-10.{fmt}"] = ["bench", "--max-exponent", "10", "--format", fmt]
     return cases
