@@ -24,7 +24,7 @@ def show_query(title, x, y, p, q, unit):
     d = decide(x, y, p, q)
     windows = enumerate_coincidences(x, y, p, q)
     print(f"== {title}")
-    print(f"   {x.name}[{p}] {x.components[p].name!r} vs {y.name}[{q}] {y.components[q].name!r}")
+    print(f"   {x.name}[{p}] {x.names[p]!r} vs {y.name}[{q}] {y.names[q]!r}")
     print(f"   slot grid: g={part.slot_dur} R={part.slots_x} S={part.slots_y}, "
           f"cycle {cycle_duration(x, y)} {unit}")
     print(f"   coincides: {d.coincides}")

@@ -14,7 +14,6 @@ from .intervals import (
 )
 from .recurrence import (
     BadHorizon,
-    Component,
     ComponentLookupError,
     EmptySequence,
     IndexOutOfRange,
@@ -49,7 +48,6 @@ __all__ = [
     "BadGcd",
     "BadHorizon",
     "CoincideError",
-    "Component",
     "ComponentLookupError",
     "Decision",
     "EmptySequence",

@@ -11,7 +11,9 @@ import argparse
 import functools
 import json
 import sys
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _json_str
+from operator import itemgetter
 
 from .bench import run_bench
 from .coincidence import (
@@ -24,8 +26,10 @@ from .coincidence import (
 )
 from .intervals import CoincideError, Interval
 from .partition import GcdPartition, build_gcd_partition
-from .recurrence import Component, SequenceSpec, resolve_component
+from .recurrence import SequenceSpec, resolve_component
 from .verify import run_verification
+
+_DUR = itemgetter("dur")
 
 
 def _parse_sequence(obj, which: str) -> SequenceSpec:
@@ -37,15 +41,24 @@ def _parse_sequence(obj, which: str) -> SequenceSpec:
     name = obj.get("name", which)
     if not isinstance(name, str):
         raise ValueError(f"{which}.name must be a string, got {name!r}")
-    parsed = []
+    # Whole-list passes that run in C; the walk below runs only when one
+    # fails, to name the first offender or to fill in default names.
+    try:
+        durs = tuple(map(_DUR, comps))
+        names = tuple(map(dict.get, comps, repeat("name")))
+    except (TypeError, KeyError):  # some component is not an object with "dur"
+        names = (None,)
+    if all(map(isinstance, names, repeat(str))):
+        return SequenceSpec(name, durs, names)
+    names = []
     for idx, c in enumerate(comps):
         if not isinstance(c, dict) or "dur" not in c:
             raise ValueError(f"{which}.components[{idx}] must be an object with 'dur'")
         cname = c["name"] if "name" in c else f"c{idx}"
         if not isinstance(cname, str):
             raise ValueError(f"{which}.components[{idx}].name must be a string, got {cname!r}")
-        parsed.append(Component(cname, c["dur"]))
-    return SequenceSpec(name, tuple(parsed))
+        names.append(cname)
+    return SequenceSpec(name, tuple(map(_DUR, comps)), tuple(names))
 
 
 def _load_document(path: str) -> dict:
@@ -215,35 +228,32 @@ def cmd_partition(args) -> int:
 def cmd_network(args) -> int:
     _, x, y = _load_pair(args)
     spec = x if args.side == "x" else y
-    part = build_gcd_partition(x, y)
-    net = create_network(spec, part.slot_dur, args.index)
+    g = build_gcd_partition(x, y).slot_dur
+    net = create_network(spec, g, args.index)
+    # One row template per run, filled 1024 slots per write: memory stays flat.
     if args.format == "json":
-        doc = {
-            "sequence": spec.name,
-            "component": args.index,
-            "g": part.slot_dur,
-            "entries": [
-                {
-                    "slot": e.slot,
-                    "rel": e.rel.value,
-                    "left_gap": e.left_gap,
-                    "right_gap": e.right_gap,
-                    "common_dur": e.common_dur,
-                }
-                for e in net.entries
-            ],
-            "flag": net.flag,
-        }
-        print(_to_json(doc))
+        head = (
+            f'{{\n  "sequence": {_json_str(spec.name)},\n  "component": {args.index},\n'
+            f'  "g": {g},\n  "entries": ['
+        )
+        row = (
+            ',\n    {{\n      "slot": %d,\n      "rel": "{0.rel.value}",\n      "left_gap": {0.left_gap},'
+            '\n      "right_gap": {0.right_gap},\n      "common_dur": {0.common_dur}\n    }}'
+        )
+        foot = f'\n  ],\n  "flag": {_to_json(net.flag)}\n}}\n'
     else:
-        comp = spec.components[args.index]
-        print(f"network: {spec.name}[{args.index}] {comp.name!r} on slot grid g={part.slot_dur}")
-        for e in net.entries:
-            print(
-                f"  slot {e.slot}: {e.rel.value}  left_gap={e.left_gap} "
-                f"right_gap={e.right_gap} common={e.common_dur}"
-            )
-        print(f"flag: {'true' if net.flag else 'false'}")
+        head = f"network: {spec.name}[{args.index}] {spec.names[args.index]!r} on slot grid g={g}\n"
+        row = "  slot %d: {0.rel.value}  left_gap={0.left_gap} right_gap={0.right_gap} common={0.common_dur}\n"
+        foot = f"flag: {_to_json(net.flag)}\n"
+    rows = [row.format(e) for e, _ in net.runs]
+    # JSON elements start with a comma; the first run is the first slot alone.
+    rows[0] = rows[0].removeprefix(",")
+    sys.stdout.write(head)
+    for (e, count), line in zip(net.runs, rows):
+        for start in range(e.slot, e.slot + count, 1024):
+            slots = tuple(range(start, min(start + 1024, e.slot + count)))
+            sys.stdout.write(line * len(slots) % slots)
+    sys.stdout.write(foot)
     return 0
 
 

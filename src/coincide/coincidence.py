@@ -124,7 +124,7 @@ def network_entry(spec: SequenceSpec, g: int, p: int, r: int) -> NetworkEntry:
     _check_slot_dur(spec, g)
     if not isinstance(r, int) or isinstance(r, bool):
         raise IndexOutOfRange(f"slot index must be an integer, got {r!r}")
-    a, d = spec.offsets()[p], spec.components[p].dur
+    a, d = spec.offsets()[p], spec.durs[p]
     if not a // g <= r <= (a + d - 1) // g:
         raise NoOverlap(f"window [{a}, {a + d}) does not overlap slot {r} of size {g}")
     return _entry(a, d, r, g)
@@ -147,8 +147,7 @@ def create_network(spec: SequenceSpec, g: int, p: int) -> Network:
     """
     _check_index(spec, p)
     _check_slot_dur(spec, g)
-    a = spec.offsets()[p]
-    d = spec.components[p].dur
+    a, d = spec.offsets()[p], spec.durs[p]
     first = a // g
     last = (a + d - 1) // g
     runs = [(_entry(a, d, first, g), 1)]
@@ -336,7 +335,7 @@ def _shift_kernel(x: SequenceSpec, y: SequenceSpec, p: int, q: int) -> _ShiftKer
     part = build_gcd_partition(x, y)
     g = part.slot_dur
     a, b = x.offsets()[p], y.offsets()[q]
-    dx, dy = x.components[p].dur, y.components[q].dur
+    dx, dy = x.durs[p], y.durs[q]
     c = b - a
     lo = (-dy - c) // g + 1
     hi = (dx - c - 1) // g

@@ -48,7 +48,7 @@ def oracle_decide(x: SequenceSpec, y: SequenceSpec, p: int, q: int) -> OracleRep
     cycle = cycle_duration(x, y)
     period_x, period_y = x.total_dur, y.total_dur
     xs, ys = x.offsets()[p], y.offsets()[q]
-    xe, ye = xs + x.components[p].dur, ys + y.components[q].dur
+    xe, ye = xs + x.durs[p], ys + y.durs[q]
     x_stop, y_stop = xs + cycle, ys + cycle
     windows = []
     while xs < x_stop and ys < y_stop:

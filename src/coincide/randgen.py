@@ -21,7 +21,7 @@ then the same two draws for the second sequence.
 """
 from __future__ import annotations
 
-from .recurrence import Component, SequenceSpec
+from .recurrence import SequenceSpec
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -50,8 +50,8 @@ class SplitMix64:
 
 def random_sequence(rng: SplitMix64, name: str) -> SequenceSpec:
     n = rng.randint(1, _MAX_COMPONENTS)
-    comps = tuple(Component(f"c{i}", rng.randint(1, _MAX_DUR)) for i in range(n))
-    return SequenceSpec(name, comps)
+    durs = tuple([rng.randint(1, _MAX_DUR) for _ in range(n)])
+    return SequenceSpec(name, durs, tuple([f"c{i}" for i in range(n)]))
 
 
 def random_instance(rng: SplitMix64) -> tuple[SequenceSpec, SequenceSpec]:

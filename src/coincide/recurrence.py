@@ -41,58 +41,52 @@ class ComponentLookupError(CoincideError):
 
 
 @dataclass(frozen=True)
-class Component:
-    name: str
-    dur: int
-
-
-@dataclass(frozen=True)
 class SequenceSpec:
-    """A recurring sequence of fixed-duration components.
+    """A recurring sequence of fixed-duration components, held as columns.
 
-    Component indices are 0-based throughout.  ``offsets()[p]`` is the
-    start of component ``p`` within a period; ``total_dur`` is the
-    period length.  Both are computed once, when the spec is built, and
-    building one checks it: ``components`` is a non-empty tuple of
-    ``Component``, and every duration a positive integer (``bool`` is not
-    accepted as one).
+    Component ``i`` (0-based) lasts ``durs[i]`` units and is named
+    ``names[i]``.  ``offsets()[p]`` starts component ``p`` within a period
+    of ``total_dur`` units; both are computed once, when the spec is built.
+    Building one checks it: ``durs`` and ``names`` are tuples of one
+    non-zero length, and every duration is a positive integer, not a bool.
     """
 
     name: str
-    components: tuple[Component, ...]
+    durs: tuple[int, ...]
+    names: tuple[str, ...]
     total_dur: int = field(init=False, compare=False, repr=False)
     _offsets: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.components, tuple):
-            raise CoincideError(
-                f"sequence {self.name!r}: components must be a tuple of Component, "
-                f"got {type(self.components).__name__}"
-            )
-        if not self.components:
+        durs, names = self.durs, self.names
+        if not isinstance(durs, tuple) or not isinstance(names, tuple):
+            kinds = f"{type(durs).__name__} and {type(names).__name__}"
+            raise CoincideError(f"sequence {self.name!r}: durs and names must be tuples, got {kinds}")
+        if not durs:
             raise EmptySequence(f"sequence {self.name!r} has no components")
-        for idx, comp in enumerate(self.components):
-            if not isinstance(comp, Component):
-                raise CoincideError(f"component {idx}: expected a Component, got {comp!r}")
-            dur = comp.dur
-            if not isinstance(dur, int) or isinstance(dur, bool) or dur < 1:
-                raise NonPositiveDuration(idx, dur)
-        ends = tuple(accumulate(c.dur for c in self.components))
+        if len(names) != len(durs):
+            raise CoincideError(f"sequence {self.name!r}: {len(durs)} durations but {len(names)} names")
+        # One whole-column check; the loop runs only to name the first offender.
+        if set(map(type, durs)) != {int} or min(durs) < 1:
+            for idx, dur in enumerate(durs):
+                if not isinstance(dur, int) or isinstance(dur, bool) or dur < 1:
+                    raise NonPositiveDuration(idx, dur)
+        ends = tuple(accumulate(durs))
         object.__setattr__(self, "total_dur", ends[-1])
         object.__setattr__(self, "_offsets", (0,) + ends[:-1])
 
     @property
     def length(self) -> int:
-        return len(self.components)
+        return len(self.durs)
 
     def offsets(self) -> tuple[int, ...]:
         return self._offsets
 
 
 def sequence(name: str, *durs: int, component_names: list[str] | None = None) -> SequenceSpec:
-    """Convenience constructor; components are named ``c0, c1, ...`` by default."""
-    names = component_names or [f"c{i}" for i in range(len(durs))]
-    return SequenceSpec(name, tuple(Component(n, d) for n, d in zip(names, durs)))
+    """Convenience constructor: one name per duration, ``c0, c1, ...`` by default."""
+    names = [f"c{i}" for i in range(len(durs))] if component_names is None else component_names
+    return SequenceSpec(name, durs, tuple(names))
 
 
 def _check_index(spec: SequenceSpec, p: int) -> None:
@@ -115,8 +109,7 @@ def incidences_of(spec: SequenceSpec, p: int, horizon: int) -> list[Interval]:
     period = spec.total_dur
     if horizon < 1 or horizon % period != 0:
         raise BadHorizon(f"horizon {horizon} is not a positive multiple of {period}")
-    start = spec.offsets()[p]
-    d = spec.components[p].dur
+    start, d = spec.offsets()[p], spec.durs[p]
     return [Interval(start + i * period, d) for i in range(horizon // period)]
 
 
@@ -136,7 +129,7 @@ def resolve_component(spec: SequenceSpec, key: int | str) -> int:
     if isinstance(key, int):
         _check_index(spec, key)
         return key
-    matches = [i for i, c in enumerate(spec.components) if c.name == key]
+    matches = [i for i, n in enumerate(spec.names) if n == key]
     if not matches:
         raise ComponentLookupError(f"no component named {key!r} in sequence {spec.name!r}")
     if len(matches) > 1:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from coincide import Component, Interval, SequenceSpec, sequence
+from coincide import Interval, SequenceSpec, sequence
 
 
 def intervals(max_start: int = 32, max_dur: int = 32):
@@ -23,9 +23,7 @@ def sequence_specs(name: str = "s", max_components: int = 8, max_dur: int = 16):
         min_size=1,
         max_size=max_components,
     )
-    return comps.map(
-        lambda durs: SequenceSpec(name, tuple(Component(f"c{i}", d) for i, d in enumerate(durs)))
-    )
+    return comps.map(lambda durs: sequence(name, *durs))
 
 
 def sequence_pairs(max_components: int = 8, max_dur: int = 16):
@@ -40,9 +38,7 @@ def _split(draw, name: str, total: int, max_components: int):
     k = draw(st.integers(min_value=1, max_value=min(total, max_components)))
     cuts = draw(st.sets(st.integers(1, total - 1), min_size=k - 1, max_size=k - 1)) if k > 1 else ()
     bounds = [0, *sorted(cuts), total]
-    return SequenceSpec(
-        name, tuple(Component(f"c{i}", e - s) for i, (s, e) in enumerate(zip(bounds, bounds[1:])))
-    )
+    return sequence(name, *(e - s for s, e in zip(bounds, bounds[1:])))
 
 
 @st.composite

@@ -42,6 +42,15 @@ RELATION_PREDICATES = {
 }
 
 
+def first_bad_duration(durs) -> int | None:
+    """Index of the first item that is not a positive integer (``bool``
+    excluded), checked one item at a time, or None."""
+    for idx, dur in enumerate(durs):
+        if type(dur) is bool or not isinstance(dur, int) or dur <= 0:
+            return idx
+    return None
+
+
 def holding_relations(i: Interval, j: Interval) -> list[Relation]:
     return [rel for rel, pred in RELATION_PREDICATES.items() if pred(i, j)]
 
@@ -86,7 +95,7 @@ def cursor_network(
     instead of stopping at the first full-slot hit, so the entry list is
     complete.
     """
-    durs = [c.dur for c in spec.components]
+    durs = spec.durs
     j = 0
     k = 0
     cum = 0
@@ -165,7 +174,7 @@ def network_from_period(
     """
     big_d = spec.total_dur
     base = period * big_d
-    comp = Interval(base + spec.offsets()[p], spec.components[p].dur)
+    comp = Interval(base + spec.offsets()[p], spec.durs[p])
     slots_per_period = big_d // g
     entries = []
     for r_global in range(period * slots_per_period, (period + 1) * slots_per_period):
@@ -192,7 +201,7 @@ def frame_window(spec: SequenceSpec, p: int, r: int, g: int) -> Interval:
 
     The start may be negative and the end may pass ``g``.
     """
-    return Interval(spec.offsets()[p] - r * g, spec.components[p].dur)
+    return Interval(spec.offsets()[p] - r * g, spec.durs[p])
 
 
 def frame_overlap(wx: Interval, wy: Interval) -> bool:

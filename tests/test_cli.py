@@ -1,8 +1,13 @@
 from __future__ import annotations
 
 import gc
+import io
 import json
 import time
+import tracemalloc
+from collections import deque
+from contextlib import redirect_stdout
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -140,6 +145,88 @@ def test_check_rejects_non_string_sequence_name(capsys, tmp_path, name):
     assert code == 2
     assert out == ""
     assert "y.name must be a string" in err
+
+
+def _sides(x_comps, y_comps, x_name="x", y_name="y"):
+    return {
+        "x": {"name": x_name, "components": x_comps},
+        "y": {"name": y_name, "components": y_comps},
+        "p": 0,
+        "q": 0,
+    }
+
+
+_BAD_NAME_Y = [{"name": 7, "dur": 1}]
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        pytest.param(
+            _sides([{"dur": 1}, 5, {"dur": 0}, {"name": None, "dur": 1}], _BAD_NAME_Y),
+            "x.components[1] must be an object with 'dur'",
+            id="non-object-component",
+        ),
+        pytest.param(
+            _sides([{"dur": 0}, {"name": "a", "dur": 1}, {"name": 3}], _BAD_NAME_Y),
+            "x.components[2] must be an object with 'dur'",
+            id="missing-dur-after-bad-dur",
+        ),
+        pytest.param(
+            _sides([{"dur": 0}, {"name": 3, "dur": 1}, "c"], _BAD_NAME_Y),
+            "x.components[1].name must be a string, got 3",
+            id="non-string-name-after-bad-dur",
+        ),
+        pytest.param(
+            _sides([{"name": None, "dur": 1}, []], _BAD_NAME_Y),
+            "x.components[0].name must be a string, got None",
+            id="bad-name-before-non-object",
+        ),
+        pytest.param(
+            _sides([{"dur": 1}, {"dur": 0}, {"dur": -1}], _BAD_NAME_Y),
+            "component 1: duration must be a positive integer, got 0",
+            id="dur-zero-x-bad-name-y",
+        ),
+        pytest.param(
+            _sides([{"dur": 2}, {"dur": True}, {"dur": 0}], _BAD_NAME_Y),
+            "component 1: duration must be a positive integer, got True",
+            id="dur-true-x-bad-name-y",
+        ),
+        pytest.param(
+            _sides([{"dur": 2.5}, {"dur": 0}], _BAD_NAME_Y),
+            "component 0: duration must be a positive integer, got 2.5",
+            id="dur-float-x-bad-name-y",
+        ),
+        pytest.param(
+            _sides([{"dur": 1}, {"dur": 1}, {"dur": "3"}, {"dur": None}], _BAD_NAME_Y),
+            "component 2: duration must be a positive integer, got '3'",
+            id="dur-string-x-bad-name-y",
+        ),
+        pytest.param(
+            _sides([{"dur": 1}], [{"dur": 1}, {"dur": 0}], y_name=5),
+            "y.name must be a string, got 5",
+            id="bad-sequence-name-before-bad-dur",
+        ),
+        pytest.param(
+            _sides([], _BAD_NAME_Y),
+            "sequence 'x' has no components",
+            id="empty-components",
+        ),
+        pytest.param(
+            _sides({"dur": 1}, _BAD_NAME_Y, x_name=5),
+            "x.components must be a list",
+            id="components-not-a-list-before-bad-name",
+        ),
+    ],
+)
+def test_input_errors_report_the_first_offender(capsys, tmp_path, doc, message):
+    # Every document holds several offenders; the first one in document
+    # order wins, and a component's shape and name are checked, across
+    # the whole side, before any duration.
+    code, out, err = run(capsys, "check", "--input", write_doc(tmp_path, doc))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_missing_names_default_to_side_and_index(capsys, tmp_path):
@@ -328,6 +415,78 @@ def test_network_json(capsys):
         {"slot": 0, "rel": "starts", "left_gap": 0, "right_gap": 1, "common_dur": 3}
     ]
     assert doc["flag"] is False
+
+
+class _ByteCounter(io.TextIOBase):
+    """A stdout that keeps its character count and the first and last 200
+    characters, nothing else."""
+
+    def __init__(self):
+        self.count = 0
+        self.head = self.tail = ""
+
+    def write(self, s):
+        self.count += len(s)
+        if len(self.head) < 200:
+            self.head = (self.head + s)[:200]
+        self.tail = (self.tail + s)[-200:]
+        return len(s)
+
+
+def _million_slot_network(fmt: str, n: int):
+    """The expected output, piece by piece, for x[0] = [0, n) on g = 1."""
+    rels = (
+        "started-by" if s == 0 else "finished-by" if s == n - 1 else "contains" for s in range(n)
+    )
+    if fmt == "text":
+        yield "network: x[0] 'a0' on slot grid g=1\n"
+        for s, rel in enumerate(rels):
+            yield f"  slot {s}: {rel}  left_gap=0 right_gap=0 common=1\n"
+        yield "flag: true\n"
+        return
+    yield '{\n  "sequence": "x",\n  "component": 0,\n  "g": 1,\n  "entries": ['
+    for s, rel in enumerate(rels):
+        yield (
+            f'{"," if s else ""}\n    {{\n      "slot": {s},\n      "rel": "{rel}",\n'
+            f'      "left_gap": 0,\n      "right_gap": 0,\n      "common_dur": 1\n    }}'
+        )
+    yield '\n  ],\n  "flag": true\n}\n'
+
+
+def _network_to_sink(path: str, fmt: str) -> tuple[int, _ByteCounter]:
+    sink = _ByteCounter()
+    with redirect_stdout(sink):
+        code = main(["network", "--input", path, "--side", "x", "--index", "0", "--format", fmt])
+    return code, sink
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_network_of_a_million_slots_is_written_in_full(tmp_path, fmt):
+    n = 10**6
+    code, sink = _network_to_sink(write_doc(tmp_path, _long_component_doc((n, 1), (2, 1))), fmt)
+    assert code == 0
+    assert sink.count == sum(map(len, _million_slot_network(fmt, n)))
+    assert sink.head == "".join(islice(_million_slot_network(fmt, n), 8))[:200]
+    assert sink.tail == "".join(deque(_million_slot_network(fmt, n), maxlen=8))[-200:]
+
+
+def test_network_of_a_million_slots_holds_a_few_megabytes(tmp_path):
+    # x[0] covers 10^6 one-unit slots: its JSON output alone is 125 MB, so
+    # it must leave while it is written.  Text goes through the same loop.
+    path = write_doc(tmp_path, _long_component_doc((10**6, 1), (2, 1)))
+    tracemalloc.start()
+    try:
+        code, sink = _network_to_sink(path, "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.count > 10**8
+    assert peak < 4 * 2**20
+
+
+def test_million_slot_reference_is_stdlib_indented_json():
+    small = "".join(_million_slot_network("json", 3))
+    assert small == _to_json(json.loads(small)) + "\n"
 
 
 def test_network_bad_index(capsys, factory_path):

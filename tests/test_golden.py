@@ -5,7 +5,11 @@ Each case is one CLI invocation; its expected stdout is
 ``partition`` on every ``queries/*.json`` document, ``network`` on every
 side and component index of them, ``witness`` on ``golden/many_windows.json``
 (hundreds of windows per cycle, the earliest one neither at the origin nor
-at the first slot difference; once from each side's incidence),
+at the first slot difference; once from each side's incidence), every
+query command on ``golden/dense.json`` (2,000 and 2,101 components of
+durations ``(7919 * i) % 16 + 1`` and ``(104729 * j + 5) % 13 + 1``,
+coprime periods of 17,000 and 14,727 units, the queried pair far from
+the origin),
 ``verify --trials 200 --seed 42`` and ``bench --max-exponent 10``, each in
 text and JSON.
 
@@ -49,6 +53,8 @@ def _cases() -> dict[str, list[str]]:
         cases[f"many_windows.witness-p0-q2.{fmt}"] = [
             "witness", "--input", many, "--p", "0", "--q", "2", "--format", fmt,
         ]
+        for cmd in ("check", "witness", "enumerate"):
+            cases[f"dense.{cmd}.{fmt}"] = [cmd, "--input", str(GOLDEN / "dense.json"), "--format", fmt]
         cases[f"verify-200-s42.{fmt}"] = ["verify", "--trials", "200", "--seed", "42", "--format", fmt]
         cases[f"bench-10.{fmt}"] = ["bench", "--max-exponent", "10", "--format", fmt]
     return cases

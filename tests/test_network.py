@@ -117,7 +117,7 @@ def test_entry_invariants(pair):
     for spec in (x, y):
         for p in range(spec.length):
             net = create_network(spec, g, p)
-            d = spec.components[p].dur
+            d = spec.durs[p]
             a = spec.offsets()[p]
             assert 1 <= len(net.entries) <= math.ceil(d / g) + 1
             assert [e.slot for e in net.entries] == list(

@@ -93,7 +93,7 @@ def test_every_component_overlaps_a_slot(pair):
     g = part.slot_dur
     for spec in (x, y):
         for p in range(spec.length):
-            w = Interval(spec.offsets()[p], spec.components[p].dur)
+            w = Interval(spec.offsets()[p], spec.durs[p])
             r = w.start // g
             slot = Interval(r * g, g)
             assert max(w.start, slot.start) < min(w.end, slot.end)

@@ -44,6 +44,6 @@ def test_instance_draw_order():
     durs_x = [replay.randint(1, 16) for _ in range(len_x)]
     len_y = replay.randint(1, 8)
     durs_y = [replay.randint(1, 16) for _ in range(len_y)]
-    assert [c.dur for c in x.components] == durs_x
-    assert [c.dur for c in y.components] == durs_y
+    assert list(x.durs) == durs_x
+    assert list(y.durs) == durs_y
     assert 1 <= x.length <= 8 and 1 <= y.length <= 8

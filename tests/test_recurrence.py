@@ -2,11 +2,11 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from coincide import (
     BadHorizon,
     CoincideError,
-    Component,
     ComponentLookupError,
     EmptySequence,
     IndexOutOfRange,
@@ -22,10 +22,11 @@ from coincide import (
     sequence,
 )
 from .conftest import sequence_specs
+from .refimpl import first_bad_duration
 
 
 def test_validate_ok():
-    spec = SequenceSpec("machine", (Component("Working", 5), Component("Rest", 3)))
+    spec = SequenceSpec("machine", (5, 3), ("Working", "Rest"))
     assert spec.total_dur == 8
     assert spec.length == 2
     assert spec.offsets() == (0, 5)
@@ -33,12 +34,12 @@ def test_validate_ok():
 
 def test_validate_empty():
     with pytest.raises(EmptySequence):
-        SequenceSpec("empty", ())
+        SequenceSpec("empty", (), ())
 
 
 def test_validate_non_positive_duration():
     with pytest.raises(NonPositiveDuration) as exc:
-        SequenceSpec("bad", (Component("A", 0),))
+        SequenceSpec("bad", (0,), ("A",))
     assert exc.value.index == 0
 
 
@@ -51,19 +52,57 @@ def test_rejects_non_integer_duration(dur):
 
 
 @pytest.mark.parametrize(
-    "components", [(1, 2), [Component("a", 1)]], ids=["ints", "list"]
+    "durs, names, kinds",
+    [([1, 2], ("a", "b"), "list and tuple"), ((1, 2), ["a", "b"], "tuple and list")],
+    ids=["durs-list", "names-list"],
 )
-def test_rejects_components_that_are_not_a_tuple_of_component(components):
-    # (1, 2) used to fail with a bare AttributeError; a list was accepted
-    # and left the spec unhashable
-    with pytest.raises(CoincideError):
-        SequenceSpec("s", components)
+def test_rejects_columns_that_are_not_tuples(durs, names, kinds):
+    # A list column would leave the spec unhashable
+    with pytest.raises(CoincideError, match=f"durs and names must be tuples, got {kinds}"):
+        SequenceSpec("s", durs, names)
+
+
+def test_rejects_columns_of_different_lengths():
+    with pytest.raises(CoincideError, match="2 durations but 1 names"):
+        SequenceSpec("s", (1, 2), ("a",))
+
+
+@pytest.mark.parametrize("names", [["a"], [], ["a", "b", "c", "d"]], ids=["fewer", "empty", "more"])
+def test_sequence_rejects_a_name_count_other_than_the_duration_count(names):
+    # zip used to truncate to the shorter list, and [] fell back to the
+    # default names
+    with pytest.raises(CoincideError, match=f"3 durations but {len(names)} names"):
+        sequence("x", 1, 2, 3, component_names=names)
+
+
+_BAD_DURATIONS = st.sampled_from([0, -1, -(2**70), True, False, 2.5, 1.0, "3", None, [1]])
+
+
+@given(
+    st.lists(st.integers(min_value=1, max_value=2**70), min_size=1, max_size=40).flatmap(
+        lambda durs: st.tuples(
+            st.just(durs),
+            st.dictionaries(st.integers(0, len(durs) - 1), _BAD_DURATIONS, max_size=4),
+        )
+    )
+)
+def test_first_bad_duration_matches_the_per_item_loop(case):
+    durs, bad = case
+    durs = tuple(bad.get(i, d) for i, d in enumerate(durs))
+    first = first_bad_duration(durs)
+    if first is None:
+        assert SequenceSpec("s", durs, ("n",) * len(durs)).total_dur == sum(durs)
+        return
+    with pytest.raises(NonPositiveDuration) as exc:
+        SequenceSpec("s", durs, ("n",) * len(durs))
+    assert exc.value.index == first
+    assert exc.value.dur is durs[first]
 
 
 def test_derived_fields_leave_equality_hash_and_repr_alone(machine):
-    twin = SequenceSpec("machine", machine.components)
+    twin = SequenceSpec("machine", machine.durs, machine.names)
     assert twin == machine and hash(twin) == hash(machine)
-    assert repr(twin) == f"SequenceSpec(name='machine', components={machine.components!r})"
+    assert repr(twin) == "SequenceSpec(name='machine', durs=(5, 3), names=('Working', 'Rest'))"
 
 
 def test_incidences_examples(machine, weekday):
