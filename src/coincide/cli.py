@@ -11,15 +11,15 @@ import argparse
 import functools
 import json
 import sys
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import itemgetter
 
 from .bench import run_bench
 from .coincidence import (
+    _shift_kernel,
     create_network,
     decide,
-    enumerate_coincidences,
     fired_theorems,
     first_coincidence,
     network_entry,
@@ -41,24 +41,26 @@ def _parse_sequence(obj, which: str) -> SequenceSpec:
     name = obj.get("name", which)
     if not isinstance(name, str):
         raise ValueError(f"{which}.name must be a string, got {name!r}")
-    # Whole-list passes that run in C; the walk below runs only when one
-    # fails, to name the first offender or to fill in default names.
+    # Whole-list passes that run in C, and the spec checks both columns; a
+    # nameless document fails the spec at once and is retried with default
+    # names.  The walk below runs only on failure, to name the offender.
     try:
         durs = tuple(map(_DUR, comps))
         names = tuple(map(dict.get, comps, repeat("name")))
-    except (TypeError, KeyError):  # some component is not an object with "dur"
-        names = (None,)
-    if all(map(isinstance, names, repeat(str))):
-        return SequenceSpec(name, durs, names)
-    names = []
+        try:
+            return SequenceSpec(name, durs, names)
+        except CoincideError:
+            # Missing names default to ``c<i>``; a name given as null stays None.
+            defaults = [f"c{i}" for i in range(len(comps))]
+            return SequenceSpec(name, durs, tuple(map(dict.get, comps, repeat("name"), defaults)))
+    except (TypeError, KeyError, CoincideError) as exc:
+        error = exc  # a TypeError or KeyError: some component is not an object with "dur"
     for idx, c in enumerate(comps):
         if not isinstance(c, dict) or "dur" not in c:
             raise ValueError(f"{which}.components[{idx}] must be an object with 'dur'")
-        cname = c["name"] if "name" in c else f"c{idx}"
-        if not isinstance(cname, str):
-            raise ValueError(f"{which}.components[{idx}].name must be a string, got {cname!r}")
-        names.append(cname)
-    return SequenceSpec(name, tuple(map(_DUR, comps)), tuple(names))
+        if "name" in c and not isinstance(c["name"], str):
+            raise ValueError(f"{which}.components[{idx}].name must be a string, got {c['name']!r}")
+    raise error  # shapes and names are sound: a bad duration or no components
 
 
 def _load_document(path: str) -> dict:
@@ -105,6 +107,10 @@ def _interval_obj(iv: Interval) -> dict:
     return {"start": iv.start, "end": iv.end}
 
 
+class _Rendered(str):
+    """Output text already rendered in place; both formats emit it verbatim."""
+
+
 def _to_json(value, pad: str = "\n") -> str:
     """``json.dumps(value, indent=2)``, built without reference cycles.
 
@@ -115,7 +121,7 @@ def _to_json(value, pad: str = "\n") -> str:
     indentation of the enclosing container.  Dict keys must be strings.
     """
     if isinstance(value, str):
-        return _json_str(value)
+        return value if type(value) is _Rendered else _json_str(value)
     if value is None:
         return "null"
     if value is True:
@@ -147,9 +153,6 @@ def _emit(args, doc: dict, unit: str | None = None) -> None:
             print(f"{key}: none")
         elif key in ("witness",) and isinstance(value, dict):
             print(f"{key}: [{value['start']}, {value['end']})")
-        elif key == "windows":
-            spans = " ".join(f"[{w['start']}, {w['end']})" for w in value)
-            print(f"{key}: {spans if spans else '(none)'}")
         elif key == "partition":
             print(f"{key}: g={value['g']} R={value['R']} S={value['S']}")
         elif key == "cycle" and unit:
@@ -204,16 +207,23 @@ def cmd_witness(args) -> int:
 
 def cmd_enumerate(args) -> int:
     x, y, p, q, unit = _load_query(args)
-    windows = enumerate_coincidences(x, y, p, q)
-    part = build_gcd_partition(x, y)
+    k = _shift_kernel(x, y, p, q)
+    spans = k.spans()
+    # One template per window, filled from the flat endpoints in one pass.
+    flat = tuple(chain.from_iterable(spans))
+    if args.format == "json":  # one level deep, indented as _to_json would
+        item = '{\n      "start": %d,\n      "end": %d\n    }'
+        windows = ("[\n    " + ",\n    ".join([item] * len(spans)) + "\n  ]") % flat if spans else "[]"
+    else:
+        windows = " ".join(["[%d, %d)"] * len(spans)) % flat if spans else "(none)"
     doc = {
-        "coincides": bool(windows),
-        "witness": _interval_obj(windows[0]) if windows else None,
-        "windows": [_interval_obj(w) for w in windows],
-        **_grid(part),
+        "coincides": bool(spans),
+        "witness": {"start": spans[0][0], "end": spans[0][1]} if spans else None,
+        "windows": _Rendered(windows),
+        **_grid(k.part),
         "method": "gcd-partition",
         # What projecting the cycle would cost: R * S incidence pairs.
-        "comparisons": part.cycle_slots,
+        "comparisons": k.part.cycle_slots,
     }
     _emit(args, doc, unit)
     return 0

@@ -11,12 +11,14 @@ the components coincide iff ``lo <= hi``.  Each admissible ``m`` shifts
 the y window by ``m * g + c`` against the x window and gives exactly one
 shared window per joint cycle; one modular inverse of R mod S, the CRT
 step of ``align_slot``, places it.  Enumeration therefore costs one step
-per window, never one per slot.  The earliest window costs O(log S): the
-windows with ``m * g + c <= 0`` start at their x incidence, the n-th x
-period of the cycle, so the earliest of them is the least n whose residue
-``-n * R (mod S)`` falls in their interval of shifts, a Euclid-like
-recursion (``_first_hit``); every other window starts at its y incidence
-and is the same case with the roles of x and y exchanged.
+per window, never one per slot, and builds no object per window:
+``_ShiftKernel.spans`` yields plain ``(start, end)`` ints from one loop,
+which the CLI writes through one template.  The earliest window costs
+O(log S): the windows with ``m * g + c <= 0`` start at their x incidence,
+the n-th x period of the cycle, so the earliest of them is the least n
+whose residue ``-n * R (mod S)`` falls in their interval of shifts, a
+Euclid-like recursion (``_first_hit``); every other window starts at its
+y incidence and is the same case with the roles of x and y exchanged.
 
 The paper's per-period slot networks, its network verdict procedure and
 the qualitative rule battery stay as the explanation layer (``check``
@@ -28,7 +30,6 @@ and ``check_pair`` tests two entries for overlap from those gaps alone.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .intervals import CoincideError, Interval, Relation, allen_relation
@@ -283,9 +284,22 @@ class _ShiftKernel:
         ys = xs + m * part.slot_dur + self.b - self.a
         return max(xs, ys), min(xs + self.dx, ys + self.dy)
 
-    def windows(self) -> Iterator[tuple[int, int]]:
-        """Every shared window of one cycle, one per admissible ``m``, unsorted."""
-        return (self.window(m) for m in range(self.lo, self.hi + 1))
+    def spans(self) -> list[tuple[int, int]]:
+        """Every ``window(m)`` of one cycle, ascending, from one loop over ints:
+        at shift ``s = m * g + c`` in the x period starting at ``xs`` it is
+        ``[xs + max(s, 0), xs + min(s + dy, dx))``."""
+        part = self.part
+        g, big_s, inv = part.slot_dur, part.slots_y, self.inv
+        rg, a, dx, dy = part.slots_x * g, self.a, self.dx, self.dy
+        c = self.b - a
+        spans = [
+            (xs + (s if s > 0 else 0), xs + (s + dy if s + dy < dx else dx))
+            for m in range(self.lo, self.hi + 1)
+            # One-element loops bind the period start and the shift.
+            for xs, s in (((-m * inv) % big_s * rg + a, m * g + c),)
+        ]
+        spans.sort()
+        return spans
 
     def first_x_start(self) -> tuple[int, int] | None:
         """The earliest window that starts at an x incidence, or None.
@@ -394,8 +408,7 @@ def enumerate_coincidences(
     windows never overlap but can touch, so they are not merged into
     maximal runs.  Equal to ``oracle_decide(...).windows``.
     """
-    spans = sorted(_shift_kernel(x, y, p, q).windows())
-    return tuple(Interval.from_endpoints(s, e) for s, e in spans)
+    return tuple(Interval.from_endpoints(s, e) for s, e in _shift_kernel(x, y, p, q).spans())
 
 
 def network_decide(x: SequenceSpec, y: SequenceSpec, p: int, q: int) -> tuple[bool, int]:

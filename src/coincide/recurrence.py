@@ -48,7 +48,7 @@ class SequenceSpec:
     ``names[i]``.  ``offsets()[p]`` starts component ``p`` within a period
     of ``total_dur`` units; both are computed once, when the spec is built.
     Building one checks it: ``durs`` and ``names`` are tuples of one
-    non-zero length, and every duration is a positive integer, not a bool.
+    non-zero length, of strings and of positive ints (not bools).
     """
 
     name: str
@@ -66,7 +66,13 @@ class SequenceSpec:
             raise EmptySequence(f"sequence {self.name!r} has no components")
         if len(names) != len(durs):
             raise CoincideError(f"sequence {self.name!r}: {len(durs)} durations but {len(names)} names")
-        # One whole-column check; the loop runs only to name the first offender.
+        # One whole-column check each; a loop runs only to name the first offender.
+        try:
+            "".join(names)  # a TypeError unless every name is a str
+        except TypeError:
+            idx, bad = next((i, n) for i, n in enumerate(names) if not isinstance(n, str))
+            msg = f"sequence {self.name!r}: component {idx}: name must be a string, got {bad!r}"
+            raise CoincideError(msg) from None
         if set(map(type, durs)) != {int} or min(durs) < 1:
             for idx, dur in enumerate(durs):
                 if not isinstance(dur, int) or isinstance(dur, bool) or dur < 1:

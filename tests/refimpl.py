@@ -51,6 +51,25 @@ def first_bad_duration(durs) -> int | None:
     return None
 
 
+def walk_sequence(obj: dict, which: str) -> SequenceSpec:
+    """The spec of one sequence document, checked one component at a time.
+
+    The first component that is not an object with ``"dur"``, or whose
+    ``"name"`` is not a string, is named in a ValueError; a missing name
+    becomes ``c<index>``.  Durations are left to ``SequenceSpec``.
+    """
+    comps = obj["components"]
+    names = []
+    for idx, c in enumerate(comps):
+        if not isinstance(c, dict) or "dur" not in c:
+            raise ValueError(f"{which}.components[{idx}] must be an object with 'dur'")
+        cname = c["name"] if "name" in c else f"c{idx}"
+        if not isinstance(cname, str):
+            raise ValueError(f"{which}.components[{idx}].name must be a string, got {cname!r}")
+        names.append(cname)
+    return SequenceSpec(obj.get("name", which), tuple(c["dur"] for c in comps), tuple(names))
+
+
 def holding_relations(i: Interval, j: Interval) -> list[Relation]:
     return [rel for rel, pred in RELATION_PREDICATES.items() if pred(i, j)]
 
@@ -79,7 +98,8 @@ def naive_windows(x: SequenceSpec, y: SequenceSpec, p: int, q: int) -> list[Inte
 def scan_first_window(x: SequenceSpec, y: SequenceSpec, p: int, q: int) -> Interval | None:
     """Earliest shared window by scanning every window of the kernel, one
     step per admissible slot difference."""
-    first = min(_shift_kernel(x, y, p, q).windows(), default=None)
+    k = _shift_kernel(x, y, p, q)
+    first = min(map(k.window, range(k.lo, k.hi + 1)), default=None)
     return None if first is None else Interval.from_endpoints(*first)
 
 

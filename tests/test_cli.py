@@ -14,9 +14,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from coincide import oracle_decide, resolve_component, sequence
-from coincide.cli import _to_json, main
-from .refimpl import scan_first_window
+import coincide.cli
+import coincide.coincidence
+from coincide import CoincideError, Interval, oracle_decide, resolve_component, sequence
+from coincide.cli import _parse_sequence, _to_json, main
+from coincide.coincidence import _ShiftKernel
+from .refimpl import scan_first_window, walk_sequence
 
 QUERIES = Path(__file__).resolve().parents[1] / "queries"
 
@@ -243,6 +246,61 @@ def test_missing_names_default_to_side_and_index(capsys, tmp_path):
     assert json.loads(out)["coincides"] is True
 
 
+_DURS = st.one_of(
+    st.integers(min_value=1, max_value=2**70),
+    st.sampled_from([0, -1, True, 2.5, "3", None]),
+)
+_COMPONENT = st.one_of(
+    st.fixed_dictionaries({"dur": _DURS}),
+    st.fixed_dictionaries({"name": st.text(max_size=3), "dur": _DURS}),
+    st.fixed_dictionaries({"name": st.sampled_from([None, 3, True, ["a"]]), "dur": _DURS}),
+    st.fixed_dictionaries({"name": st.text(max_size=3)}),
+    st.sampled_from([5, "c", [], None]),
+)
+
+
+def _parsed(parse, comps):
+    try:
+        return parse({"name": "s", "components": comps}, "x")
+    except (ValueError, CoincideError) as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    st.one_of(
+        st.lists(st.fixed_dictionaries({"dur": st.integers(1, 50)}), max_size=40),
+        st.lists(_COMPONENT, max_size=8),
+    )
+)
+@example([{"dur": 1}, {"name": "b", "dur": 2}, {"dur": 3}])
+@example([{"dur": 0}, {"dur": 1}])
+@example([{"dur": 1}, {"name": None, "dur": 1}])
+@example([{"dur": 0}, {"name": 3, "dur": 1}])
+@example([])
+def test_components_parse_as_the_per_component_walk_does(comps):
+    # Named, nameless and partly named documents give the same spec, or
+    # the same first-offender error, as checking one component at a time
+    assert _parsed(_parse_sequence, comps) == _parsed(walk_sequence, comps)
+
+
+class _WatchedComponent(dict):
+    """A component that counts the ``key in component`` tests made on it."""
+
+    tests = 0
+
+    def __contains__(self, key):
+        type(self).tests += 1
+        return super().__contains__(key)
+
+
+def test_nameless_components_parse_without_a_per_component_walk(monkeypatch):
+    monkeypatch.setattr(_WatchedComponent, "tests", 0)
+    comps = [_WatchedComponent(dur=i % 16 + 1) for i in range(2000)]
+    spec = _parse_sequence({"name": "s", "components": comps}, "x")
+    assert spec.names == tuple(f"c{i}" for i in range(2000))
+    assert _WatchedComponent.tests == 0
+
+
 def test_check_rejects_garbage_json(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -369,6 +427,70 @@ def test_enumerate_huge_cycle_answers_from_the_kernel(capsys, tmp_path):
     assert doc["windows"] == [{"start": 0, "end": 1}]
     assert doc["comparisons"] == 999_999_999_000_000_000
     assert elapsed < 2.0
+
+
+_ENDPOINTS = st.integers(min_value=0, max_value=2**80)
+
+
+@given(st.lists(st.tuples(_ENDPOINTS, _ENDPOINTS), max_size=12))
+@example([])
+@example([(23, 24)])
+@example([(2**63 - 1, 2**63), (2**64, 2**70 + 1)])
+def test_enumerate_renders_windows_as_the_stdlib_does(spans):
+    # Whatever spans the kernel returns, the templated windows block is
+    # the stdlib's JSON of one dict per window, and the text line is the
+    # per-window f-string rendering
+    out = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_ShiftKernel, "spans", lambda self: list(spans))
+        for fmt in ("json", "text"):
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                assert main(["enumerate", "--input", str(QUERIES / "factory.json"), "--format", fmt]) == 0
+            out[fmt] = buf.getvalue()
+    windows = [{"start": s, "end": e} for s, e in spans]
+    doc = {
+        "coincides": bool(windows),
+        "witness": windows[0] if windows else None,
+        "windows": windows,
+        "partition": {"g": 1, "R": 7, "S": 8},
+        "cycle": 56,
+        "method": "gcd-partition",
+        "comparisons": 56,
+    }
+    assert out["json"] == json.dumps(doc, indent=2) + "\n"
+    line = " ".join(f"[{w['start']}, {w['end']})" for w in windows)
+    witness = f"[{windows[0]['start']}, {windows[0]['end']})" if windows else "none"
+    assert out["text"] == (
+        f"coincides: {json.dumps(bool(windows))}\nwitness: {witness}\n"
+        f"windows: {line if line else '(none)'}\npartition: g=1 R=7 S=8\n"
+        "cycle: 56 days\nmethod: gcd-partition\ncomparisons: 56\n"
+    )
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_enumerate_builds_no_interval_per_window(monkeypatch, fmt):
+    intervals, partitions = [], []
+    post_init, build = Interval.__post_init__, coincide.coincidence.build_gcd_partition
+
+    def counted_post_init(self):
+        intervals.append(self)
+        post_init(self)
+
+    def counted_build(x, y):
+        partitions.append((x, y))
+        return build(x, y)
+
+    monkeypatch.setattr(Interval, "__post_init__", counted_post_init)
+    for module in (coincide.coincidence, coincide.cli):
+        monkeypatch.setattr(module, "build_gcd_partition", counted_build)
+    many = Path(__file__).resolve().parent / "golden" / "many_windows.json"
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert main(["enumerate", "--input", str(many), "--format", fmt]) == 0
+    assert buf.getvalue().count("[" if fmt == "text" else '"start"') > 200
+    assert len(intervals) <= 1
+    assert len(partitions) == 1
 
 
 def test_enumerate_production_line(capsys):

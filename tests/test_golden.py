@@ -9,7 +9,11 @@ at the first slot difference; once from each side's incidence), every
 query command on ``golden/dense.json`` (2,000 and 2,101 components of
 durations ``(7919 * i) % 16 + 1`` and ``(104729 * j + 5) % 13 + 1``,
 coprime periods of 17,000 and 14,727 units, the queried pair far from
-the origin),
+the origin), ``enumerate`` on ``golden/many_windows.json``, every query
+command on each ``golden/edge_*.json`` document (one edge case each:
+windows that only meet at a boundary, touching windows left unmerged,
+a single-component schedule, ``R = S = 1`` with nameless components,
+and ``d_x + d_y = g`` in its hit and its miss case),
 ``verify --trials 200 --seed 42`` and ``bench --max-exponent 10``, each in
 text and JSON.
 
@@ -53,8 +57,10 @@ def _cases() -> dict[str, list[str]]:
         cases[f"many_windows.witness-p0-q2.{fmt}"] = [
             "witness", "--input", many, "--p", "0", "--q", "2", "--format", fmt,
         ]
-        for cmd in ("check", "witness", "enumerate"):
-            cases[f"dense.{cmd}.{fmt}"] = [cmd, "--input", str(GOLDEN / "dense.json"), "--format", fmt]
+        cases[f"many_windows.enumerate.{fmt}"] = ["enumerate", "--input", many, "--format", fmt]
+        for doc in ["dense", *sorted(p.stem for p in GOLDEN.glob("edge_*.json"))]:
+            for cmd in ("check", "witness", "enumerate"):
+                cases[f"{doc}.{cmd}.{fmt}"] = [cmd, "--input", str(GOLDEN / f"{doc}.json"), "--format", fmt]
         cases[f"verify-200-s42.{fmt}"] = ["verify", "--trials", "200", "--seed", "42", "--format", fmt]
         cases[f"bench-10.{fmt}"] = ["bench", "--max-exponent", "10", "--format", fmt]
     return cases

@@ -75,6 +75,27 @@ def test_sequence_rejects_a_name_count_other_than_the_duration_count(names):
         sequence("x", 1, 2, 3, component_names=names)
 
 
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        ((3,), "component 0: name must be a string, got 3"),
+        (("a", None), "component 1: name must be a string, got None"),
+        (("a", b"b", 4), "component 1: name must be a string, got b'b'"),
+    ],
+    ids=["int", "none", "bytes-before-int"],
+)
+def test_rejects_names_that_are_not_strings(names, message):
+    # A name that is not a string could never be looked up: an int key
+    # reads as an index
+    with pytest.raises(CoincideError, match=f"^sequence 's': {message}$"):
+        SequenceSpec("s", (1,) * len(names), names)
+
+
+def test_sequence_rejects_a_name_that_is_not_a_string():
+    with pytest.raises(CoincideError, match="component 0: name must be a string, got 3"):
+        sequence("x", 1, component_names=[3])
+
+
 _BAD_DURATIONS = st.sampled_from([0, -1, -(2**70), True, False, 2.5, 1.0, "3", None, [1]])
 
 
