@@ -41,6 +41,10 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=42)
     ap.add_argument("--max-exponent", type=int, default=10)
     args = ap.parse_args()
+    try:  # run first, so that a bad --max-exponent fails before the long runs
+        bench = run_bench(args.max_exponent)
+    except ValueError as exc:
+        ap.error(str(exc))
 
     weekday = sequence(
         "weekday", *[1] * 7,
@@ -64,7 +68,6 @@ def main() -> int:
     print()
 
     print(f"== scaling bench (D = 2^4 .. 2^{args.max_exponent})")
-    bench = run_bench(args.max_exponent)
     for line in bench.csv_lines():
         print(f"   {line}")
     print(f"   gcd-method log-log slope: {bench.gcd_slope:.3f}")

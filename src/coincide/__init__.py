@@ -29,7 +29,6 @@ from .coincidence import (
     Decision,
     Network,
     NetworkEntry,
-    NoOverlap,
     SLOT_SUB_COMPONENT,
     check_pair,
     create_network,
@@ -38,7 +37,6 @@ from .coincidence import (
     fired_theorems,
     first_coincidence,
     network_decide,
-    network_entry,
 )
 from .oracle import OracleReport, oracle_decide
 
@@ -56,7 +54,6 @@ __all__ = [
     "Interval",
     "Network",
     "NetworkEntry",
-    "NoOverlap",
     "NonPositiveDuration",
     "OracleReport",
     "Relation",
@@ -74,7 +71,6 @@ __all__ = [
     "first_coincidence",
     "incidences_of",
     "network_decide",
-    "network_entry",
     "oracle_decide",
     "resolve_component",
     "sequence",

@@ -52,10 +52,20 @@ def _loglog_slope(xs: list[int], ys: list[int]) -> float | None:
     return fit.slope
 
 
+# The largest instance holds two sequences of about 2^max_exponent
+# components each, so every step more than doubles a run's memory; the
+# bound stops a run before it can exhaust the machine.
+MAX_EXPONENT = 20
+
+
 def run_bench(max_exponent: int) -> BenchReport:
-    """Rows for D = 2^4 .. 2^max_exponent."""
+    """Rows for D = 2^4 .. 2^max_exponent, with 4 <= max_exponent <= 20."""
+    if not isinstance(max_exponent, int) or isinstance(max_exponent, bool):
+        raise ValueError(f"max exponent must be an integer, got {max_exponent!r}")
     if max_exponent < 4:
         raise ValueError(f"max exponent must be >= 4, got {max_exponent}")
+    if max_exponent > MAX_EXPONENT:
+        raise ValueError(f"max exponent must be <= {MAX_EXPONENT}, got {max_exponent}")
     rows = []
     for j in range(4, max_exponent + 1):
         big_d = 2**j

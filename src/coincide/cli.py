@@ -16,15 +16,8 @@ from json.encoder import encode_basestring_ascii as _json_str
 from operator import itemgetter
 
 from .bench import run_bench
-from .coincidence import (
-    _shift_kernel,
-    create_network,
-    decide,
-    fired_theorems,
-    first_coincidence,
-    network_entry,
-)
-from .intervals import CoincideError, Interval
+from .coincidence import _shift_kernel, _ShiftKernel, create_network, fired_theorems
+from .intervals import CoincideError
 from .partition import GcdPartition, build_gcd_partition
 from .recurrence import SequenceSpec, resolve_component
 from .verify import run_verification
@@ -92,7 +85,8 @@ def _component_key(raw) -> int | str:
     return raw
 
 
-def _load_query(args) -> tuple[SequenceSpec, SequenceSpec, int, int, str | None]:
+def _load_query(args) -> tuple[_ShiftKernel, str | None]:
+    """The query's one kernel, which answers it, and the document's unit."""
     doc, x, y = _load_pair(args)
     p_key = _component_key(args.p if args.p is not None else doc.get("p"))
     q_key = _component_key(args.q if args.q is not None else doc.get("q"))
@@ -100,11 +94,11 @@ def _load_query(args) -> tuple[SequenceSpec, SequenceSpec, int, int, str | None]
         raise ValueError("both 'p' and 'q' must be given (document field or flag)")
     p = resolve_component(x, p_key)
     q = resolve_component(y, q_key)
-    return x, y, p, q, doc.get("unit")
+    return _shift_kernel(x, y, p, q), doc.get("unit")
 
 
-def _interval_obj(iv: Interval) -> dict:
-    return {"start": iv.start, "end": iv.end}
+def _window_obj(start: int, end: int) -> dict:
+    return {"start": start, "end": end}
 
 
 class _Rendered(str):
@@ -173,32 +167,27 @@ def _grid(part: GcdPartition) -> dict:
     }
 
 
-def _fired_for(x, y, p, q, via, g: int) -> list[str]:
-    return sorted(fired_theorems(network_entry(x, g, p, via[0]), network_entry(y, g, q, via[1]), g))
-
-
 def cmd_check(args) -> int:
-    x, y, p, q, unit = _load_query(args)
-    d = decide(x, y, p, q)
-    part = build_gcd_partition(x, y)
+    k, unit = _load_query(args)
+    d = k.decision()
     doc = {
         "coincides": d.coincides,
-        "witness": _interval_obj(d.witness) if d.witness else None,
-        **_grid(part),
+        "witness": _window_obj(d.witness.start, d.witness.end) if d.witness else None,
+        **_grid(k.part),
         "method": "gcd-partition",
-        "fired": _fired_for(x, y, p, q, d.via, part.slot_dur) if d.via else [],
+        "fired": sorted(fired_theorems(*k.via_entries(d.via), k.part.slot_dur)) if d.via else [],
     }
     _emit(args, doc, unit)
     return 0
 
 
 def cmd_witness(args) -> int:
-    x, y, p, q, unit = _load_query(args)
-    w = first_coincidence(x, y, p, q)
+    k, unit = _load_query(args)
+    w = k.first_window()
     doc = {
         "coincides": w is not None,
-        "witness": _interval_obj(w) if w else None,
-        **_grid(build_gcd_partition(x, y)),
+        "witness": _window_obj(*w) if w else None,
+        **_grid(k.part),
         "method": "gcd-partition",
     }
     _emit(args, doc, unit)
@@ -206,8 +195,7 @@ def cmd_witness(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    x, y, p, q, unit = _load_query(args)
-    k = _shift_kernel(x, y, p, q)
+    k, unit = _load_query(args)
     spans = k.spans()
     # One template per window, filled from the flat endpoints in one pass.
     flat = tuple(chain.from_iterable(spans))
@@ -218,7 +206,7 @@ def cmd_enumerate(args) -> int:
         windows = " ".join(["[%d, %d)"] * len(spans)) % flat if spans else "(none)"
     doc = {
         "coincides": bool(spans),
-        "witness": {"start": spans[0][0], "end": spans[0][1]} if spans else None,
+        "witness": _window_obj(*spans[0]) if spans else None,
         "windows": _Rendered(windows),
         **_grid(k.part),
         "method": "gcd-partition",

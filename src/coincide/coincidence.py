@@ -14,11 +14,15 @@ step of ``align_slot``, places it.  Enumeration therefore costs one step
 per window, never one per slot, and builds no object per window:
 ``_ShiftKernel.spans`` yields plain ``(start, end)`` ints from one loop,
 which the CLI writes through one template.  The earliest window costs
-O(log S): the windows with ``m * g + c <= 0`` start at their x incidence,
-the n-th x period of the cycle, so the earliest of them is the least n
-whose residue ``-n * R (mod S)`` falls in their interval of shifts, a
-Euclid-like recursion (``_first_hit``); every other window starts at its
-y incidence and is the same case with the roles of x and y exchanged.
+O(log(R + S)) on the same kernel.  A window with ``m * g + c <= 0`` starts
+at its x incidence, in x's period ``n`` with ``m = -n * R (mod S)``; every
+other window starts at its y incidence, in y's period ``n'`` with
+``m = n' * S (mod R)``.  The earliest window of each kind is the least
+period whose residue falls in that kind's interval of ``m``, found by a
+Euclid-like recursion (``_first_hit``), and the earliest window is the
+earlier of the two.  A query builds one kernel, so one partition and one
+modular inverse; ``check`` reads the entries of its witnessing slot pair
+from the kernel as well.
 
 The paper's per-period slot networks, its network verdict procedure and
 the qualitative rule battery stay as the explanation layer (``check``
@@ -32,9 +36,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intervals import CoincideError, Interval, Relation, allen_relation
+from .intervals import Interval, Relation, allen_relation
 from .partition import BadGcd, GcdPartition, build_gcd_partition
-from .recurrence import IndexOutOfRange, SequenceSpec, _check_index
+from .recurrence import SequenceSpec, _check_index
 
 # Relations meaning the slot lies fully inside the component window.  Any
 # such entry guarantees a coincidence against every component of the other
@@ -94,10 +98,6 @@ class Network:
         )
 
 
-class NoOverlap(CoincideError):
-    """The window does not positively overlap the requested slot."""
-
-
 def check_pair(ex: NetworkEntry, ey: NetworkEntry, g: int) -> bool:
     """True when the windows of two entries share a unit in the slot frame.
 
@@ -109,26 +109,6 @@ def check_pair(ex: NetworkEntry, ey: NetworkEntry, g: int) -> bool:
     ``[left_gap, g - right_gap)`` do.
     """
     return max(ex.left_gap, ey.left_gap) + max(ex.right_gap, ey.right_gap) < g
-
-
-def _check_slot_dur(spec: SequenceSpec, g: int) -> None:
-    if not isinstance(g, int) or isinstance(g, bool) or g < 1 or spec.total_dur % g != 0:
-        raise BadGcd(f"slot duration {g!r} does not divide period {spec.total_dur}")
-
-
-def network_entry(spec: SequenceSpec, g: int, p: int, r: int) -> NetworkEntry:
-    """The entry of component ``p`` for period-local slot ``r`` of ``g`` units.
-
-    Raises NoOverlap when the component window shares no unit with the slot.
-    """
-    _check_index(spec, p)
-    _check_slot_dur(spec, g)
-    if not isinstance(r, int) or isinstance(r, bool):
-        raise IndexOutOfRange(f"slot index must be an integer, got {r!r}")
-    a, d = spec.offsets()[p], spec.durs[p]
-    if not a // g <= r <= (a + d - 1) // g:
-        raise NoOverlap(f"window [{a}, {a + d}) does not overlap slot {r} of size {g}")
-    return _entry(a, d, r, g)
 
 
 def _entry(a: int, d: int, r: int, g: int) -> NetworkEntry:
@@ -147,7 +127,8 @@ def create_network(spec: SequenceSpec, g: int, p: int) -> Network:
     most three entries are computed, whatever the duration.
     """
     _check_index(spec, p)
-    _check_slot_dur(spec, g)
+    if not isinstance(g, int) or isinstance(g, bool) or g < 1 or spec.total_dur % g != 0:
+        raise BadGcd(f"slot duration {g!r} does not divide period {spec.total_dur}")
     a, d = spec.offsets()[p], spec.durs[p]
     first = a // g
     last = (a + d - 1) // g
@@ -301,24 +282,58 @@ class _ShiftKernel:
         spans.sort()
         return spans
 
-    def first_x_start(self) -> tuple[int, int] | None:
-        """The earliest window that starts at an x incidence, or None.
+    def decision(self) -> Decision:
+        """The verdict, with the first overlapping entry pair as ``via``.
 
-        Those are the windows with ``m * g + c <= 0``, so ``m`` runs over
-        ``[lo, lo + width]`` with ``width = min(hi, floor(-c / g)) - lo``.
-        The window at ``m`` starts at ``a + g * R * n``, the start of x's
-        period ``n``, where ``m = -n * R (mod S)``.  The earliest is
-        therefore the least ``n >= 0`` with ``(-n * R - lo) mod S <= width``;
-        ``width < S`` because one y incidence at most covers an x start.
+        The verdict is ``lo <= hi``.  The witness comes from the first
+        overlapping entry pair in the network scan order (x entries outer,
+        y entries inner, both ascending), found in O(1): every admissible
+        ``m`` is realized by some entry pair, so the first row with an
+        overlapping pair is ``r = max(fx, fy + lo)`` and its first column
+        is ``s = max(fy, r - hi)``, where ``fx`` and ``fy`` are the first
+        slots of each network.
+        """
+        if self.lo > self.hi:
+            return Decision(False)
+        g = self.part.slot_dur
+        fy = self.b // g
+        r = max(self.a // g, fy + self.lo)
+        s = max(fy, r - self.hi)
+        return Decision(True, Interval.from_endpoints(*self.window(r - s)), (r, s))
+
+    def via_entries(self, via: tuple[int, int]) -> tuple[NetworkEntry, NetworkEntry]:
+        """The x and y network entries at the overlapping slot pair ``via``."""
+        g = self.part.slot_dur
+        return _entry(self.a, self.dx, via[0], g), _entry(self.b, self.dy, via[1], g)
+
+    def first_window(self) -> tuple[int, int] | None:
+        """The earliest window of the cycle, or None when there is none.
+
+        The windows with ``m * g + c <= 0`` start at x's period ``n``,
+        where ``m = -n * R (mod S)``; the others start at y's period
+        ``n'``, where ``m = n' * S (mod R)``.  On each side ``m`` runs over
+        ``[low, low + width]`` with ``width`` below the modulus, because
+        one incidence at most covers the other side's start.  The side's
+        earliest window is at the least period ``n >= 0`` with
+        ``(n * step - low) mod modulus <= width``, the step being ``-R``
+        or ``S``; the answer is the earlier of the two sides.
         """
         part = self.part
         big_r, big_s = part.slots_x, part.slots_y
-        width = min(self.hi, (self.a - self.b) // part.slot_dur) - self.lo
-        if width < 0:
-            return None
-        low = self.lo % big_s
-        n = 0 if low + width >= big_s else _first_hit(-big_r % big_s, big_s, low, low + width)
-        return self.window(self.lo + (-n * big_r - self.lo) % big_s)
+        split = (self.a - self.b) // part.slot_dur  # the last m with m * g + c <= 0
+        first = None
+        for low, high, step, mod in (
+            (self.lo, min(self.hi, split), -big_r, big_s),
+            (max(self.lo, split + 1), self.hi, big_s, big_r),
+        ):
+            if low > high:
+                continue
+            res, width = low % mod, high - low
+            n = 0 if res + width >= mod else _first_hit(step % mod, mod, res, res + width)
+            w = self.window(low + (n * step - low) % mod)
+            if first is None or w < first:
+                first = w
+        return first
 
 
 def _first_hit(a: int, m: int, low: int, high: int) -> int:
@@ -359,22 +374,10 @@ def _shift_kernel(x: SequenceSpec, y: SequenceSpec, p: int, q: int) -> _ShiftKer
 def decide(x: SequenceSpec, y: SequenceSpec, p: int, q: int) -> Decision:
     """Decide whether components ``x[p]`` and ``y[q]`` ever share a unit.
 
-    The verdict is ``lo <= hi`` (module docstring).  The witness comes
-    from the first overlapping entry pair in the network scan order
-    (x entries outer, y entries inner, both ascending), found in O(1):
-    every admissible ``m`` is realized by some entry pair, so the first
-    row with an overlapping pair is ``r = max(fx, fy + lo)`` and its first
-    column is ``s = max(fy, r - hi)``, where ``fx`` and ``fy`` are the
-    first slots of each network.
+    O(1) on one residue-shift kernel; ``via`` is the first overlapping
+    entry pair in the network scan order (``_ShiftKernel.decision``).
     """
-    k = _shift_kernel(x, y, p, q)
-    if k.lo > k.hi:
-        return Decision(False)
-    g = k.part.slot_dur
-    fy = k.b // g
-    r = max(k.a // g, fy + k.lo)
-    s = max(fy, r - k.hi)
-    return Decision(True, Interval.from_endpoints(*k.window(r - s)), (r, s))
+    return _shift_kernel(x, y, p, q).decision()
 
 
 def first_coincidence(x: SequenceSpec, y: SequenceSpec, p: int, q: int) -> Interval | None:
@@ -382,20 +385,12 @@ def first_coincidence(x: SequenceSpec, y: SequenceSpec, p: int, q: int) -> Inter
 
     A window is the intersection of one incidence of each component, so
     it can touch a neighbouring window.  Returns None when the components
-    never coincide.
-
-    A window starts at its x incidence or at its y incidence.  The queries
-    ``(x, y, p, q)`` and ``(y, x, q, p)`` have the same windows, since an
-    intersection of two incidences does not depend on which is named
-    first; so the windows that start at a y incidence are those the
-    exchanged kernel starts at its first side, and the earliest window is
-    the earlier of the two kernels' ``first_x_start``, each O(log S).
+    never coincide.  One kernel answers in O(log(R + S)): the earliest
+    window that starts at an x incidence and the earliest that starts at
+    a y incidence are each one ``_first_hit`` search over that side's
+    periods, and the earlier of the two wins (``_ShiftKernel.first_window``).
     """
-    starts = (
-        _shift_kernel(x, y, p, q).first_x_start(),
-        _shift_kernel(y, x, q, p).first_x_start(),
-    )
-    first = min((w for w in starts if w is not None), default=None)
+    first = _shift_kernel(x, y, p, q).first_window()
     return None if first is None else Interval.from_endpoints(*first)
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import io
 import json
+import tempfile
 import time
 import tracemalloc
 from collections import deque
@@ -11,14 +12,27 @@ from itertools import islice
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import coincide.bench
 import coincide.cli
 import coincide.coincidence
-from coincide import CoincideError, Interval, oracle_decide, resolve_component, sequence
+from coincide import (
+    CoincideError,
+    Interval,
+    build_gcd_partition,
+    create_network,
+    decide,
+    fired_theorems,
+    oracle_decide,
+    resolve_component,
+    sequence,
+)
+from coincide.bench import run_bench
 from coincide.cli import _parse_sequence, _to_json, main
-from coincide.coincidence import _ShiftKernel
+from coincide.coincidence import _shift_kernel, _ShiftKernel
+from .conftest import sequence_pairs
 from .refimpl import scan_first_window, walk_sequence
 
 QUERIES = Path(__file__).resolve().parents[1] / "queries"
@@ -470,27 +484,64 @@ def test_enumerate_renders_windows_as_the_stdlib_does(spans):
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_enumerate_builds_no_interval_per_window(monkeypatch, fmt):
-    intervals, partitions = [], []
-    post_init, build = Interval.__post_init__, coincide.coincidence.build_gcd_partition
+    intervals = []
+    post_init = Interval.__post_init__
 
     def counted_post_init(self):
         intervals.append(self)
         post_init(self)
 
-    def counted_build(x, y):
-        partitions.append((x, y))
-        return build(x, y)
-
     monkeypatch.setattr(Interval, "__post_init__", counted_post_init)
-    for module in (coincide.coincidence, coincide.cli):
-        monkeypatch.setattr(module, "build_gcd_partition", counted_build)
     many = Path(__file__).resolve().parent / "golden" / "many_windows.json"
     buf = io.StringIO()
     with redirect_stdout(buf):
         assert main(["enumerate", "--input", str(many), "--format", fmt]) == 0
     assert buf.getvalue().count("[" if fmt == "text" else '"start"') > 200
     assert len(intervals) <= 1
+
+
+@pytest.mark.parametrize("command", ["check", "witness", "enumerate"])
+def test_each_query_builds_one_grid(monkeypatch, command):
+    partitions = []
+    build = coincide.coincidence.build_gcd_partition
+
+    def counted_build(x, y):
+        partitions.append((x, y))
+        return build(x, y)
+
+    for module in (coincide.coincidence, coincide.cli):
+        monkeypatch.setattr(module, "build_gcd_partition", counted_build)
+    many = Path(__file__).resolve().parent / "golden" / "many_windows.json"
+    with redirect_stdout(io.StringIO()):
+        assert main([command, "--input", str(many), "--format", "json"]) == 0
     assert len(partitions) == 1
+
+
+@settings(deadline=None, max_examples=60)
+@given(sequence_pairs(max_components=4, max_dur=10))
+def test_check_fires_the_rules_of_the_network_entries_at_via(pair):
+    x, y = pair
+    g = build_gcd_partition(x, y).slot_dur
+    doc = {side: {"components": [{"dur": d} for d in spec.durs]} for side, spec in (("x", x), ("y", y))}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "query.json")
+        Path(path).write_text(json.dumps(doc))
+        for p in range(x.length):
+            for q in range(y.length):
+                k = _shift_kernel(x, y, p, q)
+                d = k.decision()
+                assert d == decide(x, y, p, q)
+                if not d.coincides:
+                    continue
+                r, s = d.via
+                ex = {e.slot: e for e in create_network(x, g, p).entries}[r]
+                ey = {e.slot: e for e in create_network(y, g, q).entries}[s]
+                assert k.via_entries(d.via) == (ex, ey)
+                buf = io.StringIO()
+                with redirect_stdout(buf):
+                    argv = ["check", "--input", path, "--p", str(p), "--q", str(q), "--format", "json"]
+                    assert main(argv) == 0
+                assert json.loads(buf.getvalue())["fired"] == sorted(fired_theorems(ex, ey, g))
 
 
 def test_enumerate_production_line(capsys):
@@ -655,6 +706,23 @@ def test_bench_small_exponent(capsys):
     code, _, err = run(capsys, "bench", "--max-exponent", "3")
     assert code == 2
     assert err == "error: max exponent must be >= 4, got 3\n"
+
+
+@pytest.mark.parametrize("exponent", [21, 30])
+def test_bench_large_exponent_is_a_usage_error(capsys, monkeypatch, exponent):
+    # Fail fast instead of allocating 2^N components if the bound is missing.
+    def refuse(*args, **kwargs):
+        raise AssertionError("bench built an instance for an exponent it must reject")
+
+    monkeypatch.setattr(coincide.bench, "sequence", refuse)
+    code, out, err = run(capsys, "bench", "--max-exponent", str(exponent))
+    assert (code, out, err) == (2, "", f"error: max exponent must be <= 20, got {exponent}\n")
+
+
+@pytest.mark.parametrize("exponent", [10.0, True, "10", None])
+def test_bench_rejects_a_non_integer_exponent(exponent):
+    with pytest.raises(ValueError, match="max exponent must be an integer"):
+        run_bench(exponent)
 
 
 def test_result_document_round_trips(capsys, factory_path):

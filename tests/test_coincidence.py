@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from coincide import (
     IndexOutOfRange,
     Interval,
-    NoOverlap,
     Relation,
     allen_relation,
     build_gcd_partition,
@@ -21,7 +20,6 @@ from coincide import (
     first_coincidence,
     incidences_of,
     network_decide,
-    network_entry,
     oracle_decide,
     sequence,
 )
@@ -30,17 +28,23 @@ from .conftest import large_sequence_pairs, many_window_queries, sequence_pairs
 from .refimpl import frame_overlap, frame_window, naive_windows, scan_first_window
 
 
+def _entry_at(spec, g, p, r):
+    """The entry at slot ``r`` of the network of ``spec[p]``."""
+    (entry,) = [e for e in create_network(spec, g, p).entries if e.slot == r]
+    return entry
+
+
 def test_check_pair_examples():
     # x[0] = [0, 3) and y[1] = [2, 4) in one 4-unit slot overlap.
     x, y = sequence("x", 3, 1), sequence("y", 2, 2)
-    assert check_pair(network_entry(x, 4, 0, 0), network_entry(y, 4, 1, 0), 4) is True
+    assert check_pair(_entry_at(x, 4, 0, 0), _entry_at(y, 4, 1, 0), 4) is True
     # y[0] = [0, 2) and y[1] = [2, 4) only meet.
-    assert check_pair(network_entry(y, 4, 0, 0), network_entry(y, 4, 1, 0), 4) is False
+    assert check_pair(_entry_at(y, 4, 0, 0), _entry_at(y, 4, 1, 0), 4) is False
     # Windows hanging over the start of slot 1, in-slot [0, 1) and [0, 2),
     # against w[1] = [1, 2) floating inside slot 0.
-    during = network_entry(sequence("w", 1, 1, 6), 4, 1, 0)
-    assert check_pair(network_entry(sequence("z", 5, 3), 4, 0, 1), during, 4) is False
-    assert check_pair(network_entry(sequence("z", 6, 2), 4, 0, 1), during, 4) is True
+    during = _entry_at(sequence("w", 1, 1, 6), 4, 1, 0)
+    assert check_pair(_entry_at(sequence("z", 5, 3), 4, 0, 1), during, 4) is False
+    assert check_pair(_entry_at(sequence("z", 6, 2), 4, 0, 1), during, 4) is True
 
 
 def test_check_pair_equals_full_frame_overlap_on_every_small_window():
@@ -183,20 +187,6 @@ def test_windows_are_per_incidence_pair_not_maximal():
     assert enumerate_coincidences(x, y, 0, 0) == expected
     assert oracle_decide(x, y, 0, 0).windows == expected
     assert first_coincidence(x, y, 0, 0) == Interval(0, 2)
-
-
-def test_network_entry_rejects_bad_slot_or_index(pl1, pl2):
-    g = build_gcd_partition(pl1, pl2).slot_dur
-    with pytest.raises(NoOverlap):
-        network_entry(pl1, g, 0, 1)
-    with pytest.raises(NoOverlap):
-        network_entry(pl1, g, 2, 0)
-    with pytest.raises(IndexOutOfRange):
-        network_entry(pl1, g, 3, 0)
-    # Slot indices follow the component-index rule: an int that is not a bool.
-    for r in (0.0, False, "0"):
-        with pytest.raises(IndexOutOfRange):
-            network_entry(pl1, g, 0, r)
 
 
 @settings(deadline=None)

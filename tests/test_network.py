@@ -13,7 +13,6 @@ from coincide import (
     build_gcd_partition,
     create_network,
     network_decide,
-    network_entry,
     sequence,
 )
 from coincide.coincidence import SLOT_SUB_COMPONENT, NetworkEntry
@@ -47,8 +46,10 @@ def test_production_line_network(pl1):
 
 
 def test_create_network_errors(machine):
-    with pytest.raises(IndexOutOfRange):
-        create_network(machine, 1, 2)
+    # Component indices are ints in range, never bools.
+    for p in (2, -1, 0.0, False, "0"):
+        with pytest.raises(IndexOutOfRange):
+            create_network(machine, 1, p)
     with pytest.raises(BadGcd):
         create_network(machine, 3, 0)
     with pytest.raises(BadGcd):
@@ -57,11 +58,10 @@ def test_create_network_errors(machine):
 
 @pytest.mark.parametrize("g", [3, 0, -2, 2.0, True, "2"])
 def test_network_and_entry_share_the_slot_size_check(pl1, g):
-    # PL-1 has period 8: each g is not an int slot size dividing it.
+    # PL-1 has period 8: each g is not an int slot size dividing it, so
+    # the network is refused before any of its entries is built.
     with pytest.raises(BadGcd):
         create_network(pl1, g, 0)
-    with pytest.raises(BadGcd):
-        network_entry(pl1, g, 0, 0)
 
 
 def _divisors(n: int) -> list[int]:
