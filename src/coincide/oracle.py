@@ -7,7 +7,10 @@ of the projection, the number of incidence pairs examined, which is
 quadratic in the periods when their gcd is 1.
 
 The projection shares no code with the residue-shift kernel in
-``coincidence``; it only walks incidences, kept as plain integers.
+``coincidence``; it only walks incidences, kept as plain integers, and
+records the shared windows as ``(start, end)`` int pairs.  An
+``Interval`` per window is built only when ``OracleReport.windows`` is
+read.
 """
 from __future__ import annotations
 
@@ -22,16 +25,22 @@ from .recurrence import SequenceSpec, _check_index, cycle_duration
 class OracleReport:
     """Full projection outcome.
 
-    ``windows`` holds every shared window in the cycle, ascending and
-    pairwise non-overlapping.  Each window is the intersection of one
+    ``spans`` holds every shared window in the cycle as a ``(start, end)``
+    int pair, ascending and pairwise non-overlapping, so a window can be
+    looked up by ``bisect``.  Each window is the intersection of one
     incidence of each component, so neighbouring windows can touch: they
     are not merged into maximal runs.  ``comparisons`` counts the
     incidence pairs a straight double loop examines.
     """
 
     decision: Decision
-    windows: tuple[Interval, ...]
+    spans: tuple[tuple[int, int], ...]
     comparisons: int
+
+    @property
+    def windows(self) -> tuple[Interval, ...]:
+        """The same windows as ``Interval``s, built on each read."""
+        return tuple(Interval.from_endpoints(s, e) for s, e in self.spans)
 
 
 def oracle_decide(x: SequenceSpec, y: SequenceSpec, p: int, q: int) -> OracleReport:
@@ -41,7 +50,8 @@ def oracle_decide(x: SequenceSpec, y: SequenceSpec, p: int, q: int) -> OracleRep
     likewise for ``y[q]``.  Both lists are sorted and internally
     non-overlapping, so a two-pointer sweep over their start and end
     coordinates, kept as plain ints, visits every intersecting pair once,
-    in ascending order; only the shared windows become ``Interval``s.
+    in ascending order; only the witness, the first shared window, becomes
+    an ``Interval``.
     """
     _check_index(x, p)
     _check_index(y, q)
@@ -50,18 +60,18 @@ def oracle_decide(x: SequenceSpec, y: SequenceSpec, p: int, q: int) -> OracleRep
     xs, ys = x.offsets()[p], y.offsets()[q]
     xe, ye = xs + x.durs[p], ys + y.durs[q]
     x_stop, y_stop = xs + cycle, ys + cycle
-    windows = []
+    spans = []
     while xs < x_stop and ys < y_stop:
         s = xs if xs > ys else ys
         e = xe if xe < ye else ye
         if s < e:
-            windows.append(Interval(s, e - s))
+            spans.append((s, e))
         if xe <= ye:
             xs += period_x
             xe += period_x
         else:
             ys += period_y
             ye += period_y
-    witness = windows[0] if windows else None
+    witness = Interval.from_endpoints(*spans[0]) if spans else None
     comparisons = (cycle // period_x) * (cycle // period_y)
-    return OracleReport(Decision(bool(windows), witness), tuple(windows), comparisons)
+    return OracleReport(Decision(bool(spans), witness), tuple(spans), comparisons)

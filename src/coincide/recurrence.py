@@ -108,11 +108,14 @@ def _check_index(spec: SequenceSpec, p: int) -> None:
 def incidences_of(spec: SequenceSpec, p: int, horizon: int) -> list[Interval]:
     """All windows of component ``p`` within ``[0, horizon)``.
 
-    ``horizon`` must be a positive multiple of the period, so the list
-    holds exactly ``horizon // D`` windows, one per period, ascending.
+    ``horizon`` must be a positive int (not a bool) multiple of the
+    period, so the list holds exactly ``horizon // D`` windows, one per
+    period, ascending.
     """
     _check_index(spec, p)
     period = spec.total_dur
+    if not isinstance(horizon, int) or isinstance(horizon, bool):
+        raise BadHorizon(f"horizon must be an integer, got {horizon!r}")
     if horizon < 1 or horizon % period != 0:
         raise BadHorizon(f"horizon {horizon} is not a positive multiple of {period}")
     start, d = spec.offsets()[p], spec.durs[p]

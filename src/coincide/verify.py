@@ -2,17 +2,20 @@
 
 Every random instance is checked for every component pair: the grid
 verdict must match the projection verdict and every emitted witness must
-be one of the projection's windows.  Optionally the rule battery is
+be one of the projection's windows, looked up by binary search in its
+ascending ``(start, end)`` spans.  Optionally the rule battery is
 censused on every entry pair, counting soundness violations (a rule
 fired but ``check_pair`` finds no overlap: always a bug) and
 exhaustiveness gaps (``check_pair`` finds an overlap but no rule fired:
-expected, reported as a census only).  A slot network is at most three
-runs of entries of one shape, and entries of one shape answer alike, so
-each pair of runs is evaluated once, on the runs' first entries, and
-counted for every entry pair it stands for.
+expected, reported as a census only).  The rules read only an entry's
+shape (relation, left gap, right gap), never its slot or component, so
+the census evaluates each distinct pair of shapes of an instance once
+and counts it for every entry pair, across all component pairs, that it
+stands for.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .coincidence import check_pair, create_network, decide, fired_theorems
@@ -57,10 +60,17 @@ class VerifyReport:
         ]
 
 
-def run_verification(trials: int, seed: int, include_battery: bool = True) -> VerifyReport:
-    """Check ``trials`` seeded random instances on every component pair."""
+def _check_run_args(trials: int, seed: int) -> None:
+    for name, value in (("trials", trials), ("seed", seed)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+
+
+def run_verification(trials: int, seed: int, include_battery: bool = True) -> VerifyReport:
+    """Check ``trials`` seeded random instances on every component pair."""
+    _check_run_args(trials, seed)
     rng = SplitMix64(seed)
     report = VerifyReport(trials=trials, seed=seed)
     for t in range(trials):
@@ -76,7 +86,7 @@ def run_verification(trials: int, seed: int, include_battery: bool = True) -> Ve
                         f"trial {t}: verdict mismatch at (p={p}, q={q}): "
                         f"grid={d.coincides} projection={rep.decision.coincides}"
                     )
-                if d.witness is not None and d.witness not in rep.windows:
+                if d.witness is not None and not _has_span(rep.spans, d.witness):
                     report.witness_errors += 1
                     report.failures.append(
                         f"trial {t}: witness {d.witness} at (p={p}, q={q}) "
@@ -87,46 +97,69 @@ def run_verification(trials: int, seed: int, include_battery: bool = True) -> Ve
     return report
 
 
-def _networks(spec, g):
-    """Per component: its network runs, one group per run.
+def _has_span(spans, w) -> bool:
+    """True when window ``w`` is one of ``spans``, ascending and disjoint."""
+    span = (w.start, w.end)
+    i = bisect_left(spans, span)
+    return i < len(spans) and spans[i] == span
+
+
+def _shapes(spec, g):
+    """The distinct entry shapes of one side's networks, across components.
 
     ``fired_theorems`` and ``check_pair`` read an entry's ``rel``,
     ``left_gap`` and ``right_gap`` (``common_dur`` is ``g`` minus both
-    gaps), never its slot, so a run's first entry stands for all of its
-    slots.  A group is that entry and the run's slots.
+    gaps), never its slot or component, so one entry stands for every
+    entry of its shape.  Each shape is ``[entry, slots, groups]``: the
+    first entry of that shape, the number of entries it stands for, and
+    one ``(component, slots)`` group per network run of that shape.
     """
-    return [
-        [(e, range(e.slot, e.slot + count)) for e, count in create_network(spec, g, p).runs]
-        for p in range(spec.length)
-    ]
+    shapes = {}
+    for p in range(spec.length):
+        for e, count in create_network(spec, g, p).runs:
+            key = (e.rel, e.left_gap, e.right_gap)
+            shape = shapes.get(key)
+            if shape is None:
+                shape = shapes[key] = [e, 0, []]
+            shape[1] += count
+            shape[2].append((p, range(e.slot, e.slot + count)))
+    return list(shapes.values())
 
 
 def _battery_census(report, x, y):
     """Evaluate the rule battery on every entry pair of every component pair.
 
-    Each pair of entry shapes is evaluated once and counted once per entry
-    pair it stands for; a soundness violation is reported for every one of
-    those entry pairs, with its real slots.
+    Each distinct pair of entry shapes is evaluated once and counted once
+    per entry pair it stands for; a soundness violation is reported for
+    every one of those entry pairs, with its components and real slots,
+    in ``(p, q, r, s)`` order.
     """
     g = build_gcd_partition(x, y).slot_dur
-    networks_y = _networks(y, g)
-    for p, groups_x in enumerate(_networks(x, g)):
-        for q, groups_y in enumerate(networks_y):
-            for ex, slots_x in groups_x:
-                for ey, slots_y in groups_y:
-                    n = len(slots_x) * len(slots_y)
-                    report.battery_pairs += n
-                    fired = fired_theorems(ex, ey, g)
-                    overlap = check_pair(ex, ey, g)
-                    if fired and not overlap:
-                        report.soundness_violations += n
-                        report.failures.extend(
-                            f"unsound rule(s) {sorted(fired)} at (p={p}, q={q}), slots ({r}, {s})"
-                            for r in slots_x
-                            for s in slots_y
-                        )
-                    elif overlap and not fired:
-                        report.exhaustiveness_gaps += n
+    shapes_x, shapes_y = _shapes(x, g), _shapes(y, g)
+    report.battery_pairs += sum(n for _, n, _ in shapes_x) * sum(n for _, n, _ in shapes_y)
+    violations = []
+    for ex, nx, groups_x in shapes_x:
+        for ey, ny, groups_y in shapes_y:
+            fired = fired_theorems(ex, ey, g)
+            overlap = check_pair(ex, ey, g)
+            if fired and not overlap:
+                report.soundness_violations += nx * ny
+                rules = sorted(fired)
+                violations.extend(
+                    (p, q, r, s, rules)
+                    for p, slots_x in groups_x
+                    for q, slots_y in groups_y
+                    for r in slots_x
+                    for s in slots_y
+                )
+            elif overlap and not fired:
+                report.exhaustiveness_gaps += nx * ny
+    # (p, q, r, s) is unique per entry pair, so the sort never compares rules.
+    violations.sort()
+    report.failures.extend(
+        f"unsound rule(s) {rules} at (p={p}, q={q}), slots ({r}, {s})"
+        for p, q, r, s, rules in violations
+    )
 
 
 @dataclass
@@ -144,8 +177,7 @@ class CommutativityReport:
 
 def run_commutativity(trials: int, seed: int) -> CommutativityReport:
     """Check that swapping the two sequences never changes the answer."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_run_args(trials, seed)
     rng = SplitMix64(seed)
     report = CommutativityReport(trials=trials, seed=seed)
     for _ in range(trials):
@@ -155,8 +187,8 @@ def run_commutativity(trials: int, seed: int) -> CommutativityReport:
                 report.pairs_checked += 1
                 if decide(x, y, p, q).coincides != decide(y, x, q, p).coincides:
                     report.verdict_disagreements += 1
-                fwd = set(oracle_decide(x, y, p, q).windows)
-                rev = set(oracle_decide(y, x, q, p).windows)
+                fwd = set(oracle_decide(x, y, p, q).spans)
+                rev = set(oracle_decide(y, x, q, p).spans)
                 if fwd != rev:
                     report.window_set_mismatches += 1
     return report

@@ -143,6 +143,17 @@ def test_incidences_errors(machine):
         incidences_of(machine, 1, 0)
 
 
+@pytest.mark.parametrize("horizon", [14.0, 16.0, "14", None, True])
+def test_incidences_reject_a_non_integer_horizon(machine, horizon):
+    with pytest.raises(BadHorizon):
+        incidences_of(machine, 1, horizon)
+
+
+def test_incidences_reject_a_bool_horizon_even_for_period_one():
+    with pytest.raises(BadHorizon):
+        incidences_of(sequence("unit", 1), 0, True)
+
+
 def test_cycle_duration_examples(machine, weekday):
     assert cycle_duration(weekday, machine) == 56
     assert cycle_duration(sequence("a", 8), sequence("b", 4)) == 8

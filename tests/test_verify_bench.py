@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings
 
 import coincide.verify
+from coincide import Decision, Interval, oracle_decide, sequence
 from coincide.bench import run_bench
+from coincide.coincidence import create_network
+from coincide.partition import build_gcd_partition
 from coincide.randgen import SplitMix64, random_instance
 from coincide.verify import VerifyReport, _battery_census, run_commutativity, run_verification
 
@@ -82,9 +85,47 @@ def test_grouped_census_reports_every_violating_entry_pair(monkeypatch, never_ov
     for _ in range(50):
         x, y = random_instance(rng)
         ref = per_pair_census(x, y)
-        assert _census_fields(_grouped_census(x, y)) == _census_fields(ref)
+        grouped = _grouped_census(x, y)
+        assert _census_fields(grouped) == _census_fields(ref)
+        # In the reference's (p, q, r, s) order too: `coincide verify` prints
+        # the first 20 failures.
+        assert grouped.failures == ref.failures
         violations += ref.soundness_violations
     assert violations > 0
+
+
+def _shape_pairs(x, y):
+    g = build_gcd_partition(x, y).slot_dur
+
+    def shapes(spec):
+        return {
+            (e.rel, e.left_gap, e.right_gap)
+            for p in range(spec.length)
+            for e in create_network(spec, g, p).entries
+        }
+
+    return len(shapes(x)) * len(shapes(y))
+
+
+def test_census_evaluates_each_distinct_shape_pair_once(monkeypatch):
+    # calls[i] counts the fired_theorems calls made for instance i.
+    calls = []
+    draw, fired = coincide.verify.random_instance, coincide.verify.fired_theorems
+
+    def counted_draw(rng):
+        calls.append(0)
+        return draw(rng)
+
+    def counted_fired(ex, ey, g):
+        calls[-1] += 1
+        return fired(ex, ey, g)
+
+    monkeypatch.setattr(coincide.verify, "random_instance", counted_draw)
+    monkeypatch.setattr(coincide.verify, "fired_theorems", counted_fired)
+    run_verification(200, 42)
+    rng = SplitMix64(42)
+    expected = [_shape_pairs(*random_instance(rng)) for _ in range(200)]
+    assert calls == expected
 
 
 def test_verification_rejects_zero_trials():
@@ -95,6 +136,61 @@ def test_verification_rejects_zero_trials():
 def test_commutativity_rejects_zero_trials():
     with pytest.raises(ValueError):
         run_commutativity(trials=0, seed=1)
+
+
+@pytest.mark.parametrize("run", [run_verification, run_commutativity])
+@pytest.mark.parametrize(
+    "trials, seed",
+    [(2.5, 1), ("3", 1), (True, 1), (None, 1), (1, 1.5), (1, "1"), (1, True), (1, None)],
+)
+def test_runs_reject_a_non_integer_trials_or_seed(run, trials, seed):
+    with pytest.raises(ValueError, match="must be an integer"):
+        run(trials=trials, seed=seed)
+
+
+@pytest.mark.parametrize("stretch", [-1, 1])
+def test_verification_reports_a_witness_that_is_not_a_projection_window(monkeypatch, stretch):
+    # A witness sharing a window's start but not its end is not that window.
+    decide = coincide.verify.decide
+
+    def off_by_one(x, y, p, q):
+        d = decide(x, y, p, q)
+        if d.witness is None or d.witness.dur + stretch < 1:
+            return d
+        return Decision(True, Interval(d.witness.start, d.witness.dur + stretch), d.via)
+
+    monkeypatch.setattr(coincide.verify, "decide", off_by_one)
+    report = run_verification(20, 42, include_battery=False)
+    assert report.witness_errors > 0 and not report.passed
+    assert report.witness_errors == sum("not among projection windows" in f for f in report.failures)
+
+
+def test_oracle_builds_no_interval_per_window(monkeypatch):
+    intervals = []
+    post_init = Interval.__post_init__
+
+    def counted_post_init(self):
+        intervals.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Interval, "__post_init__", counted_post_init)
+    rep = oracle_decide(sequence("x", 50, 47), sequence("y", 60, 41), 0, 0)
+    assert len(rep.spans) > 100
+    assert len(intervals) <= 1
+    assert len(rep.windows) == len(rep.spans)
+    assert len(intervals) > 100
+
+
+@settings(deadline=None)
+@given(sequence_pairs(max_components=5, max_dur=12))
+def test_oracle_windows_are_its_spans(pair):
+    x, y = pair
+    for p in range(x.length):
+        for q in range(y.length):
+            rep = oracle_decide(x, y, p, q)
+            assert rep.windows == tuple(Interval.from_endpoints(s, e) for s, e in rep.spans)
+            assert list(rep.spans) == sorted(set(rep.spans))
+            assert rep.decision.witness == (rep.windows[0] if rep.spans else None)
 
 
 def test_commutativity_small_run():
