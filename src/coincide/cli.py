@@ -15,12 +15,10 @@ from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import itemgetter
 
-from .bench import run_bench
 from .coincidence import _shift_kernel, _ShiftKernel, create_network, fired_theorems
 from .intervals import CoincideError
 from .partition import GcdPartition, build_gcd_partition
 from .recurrence import SequenceSpec, resolve_component
-from .verify import run_verification
 
 _DUR = itemgetter("dur")
 
@@ -256,6 +254,10 @@ def cmd_network(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # Imported here, as in cmd_bench, to keep statistics, random and the
+    # verification modules off the import path of the query commands.
+    from .verify import run_verification
+
     report = run_verification(args.trials, args.seed)
     if args.format == "json":
         doc = {
@@ -279,6 +281,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .bench import run_bench
+
     report = run_bench(args.max_exponent)
     if args.format == "json":
         doc = {

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intervals import Interval, Relation, allen_relation
+from .intervals import Interval, Relation
 from .partition import BadGcd, GcdPartition, build_gcd_partition
 from .recurrence import SequenceSpec, _check_index
 
@@ -111,10 +111,22 @@ def check_pair(ex: NetworkEntry, ey: NetworkEntry, g: int) -> bool:
     return max(ex.left_gap, ey.left_gap) + max(ex.right_gap, ey.right_gap) < g
 
 
+# The relation of a window to a slot it overlaps, indexed by the signs of
+# (window start - slot start) and (window end - slot end), each plus one.
+# A window that overlaps its slot stands in one of these nine relations.
+_SLOT_RELATIONS = (
+    (Relation.OVERLAPS, Relation.FINISHED_BY, Relation.CONTAINS),
+    (Relation.STARTS, Relation.EQUALS, Relation.STARTED_BY),
+    (Relation.DURING, Relation.FINISHES, Relation.OVERLAPPED_BY),
+)
+
+
 def _entry(a: int, d: int, r: int, g: int) -> NetworkEntry:
+    """The entry of window ``[a, a + d)`` on slot ``r``, which it overlaps."""
     lo = a - r * g
-    left_gap, right_gap = max(0, lo), max(0, g - lo - d)
-    rel = allen_relation(Interval(a, d), Interval(r * g, g))
+    hi = lo + d - g
+    rel = _SLOT_RELATIONS[(lo > 0) - (lo < 0) + 1][(hi > 0) - (hi < 0) + 1]
+    left_gap, right_gap = max(0, lo), max(0, -hi)
     return NetworkEntry(r, rel, left_gap, right_gap, g - left_gap - right_gap)
 
 

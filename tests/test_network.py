@@ -9,13 +9,15 @@ from hypothesis import given
 from coincide import (
     BadGcd,
     IndexOutOfRange,
+    Interval,
     Relation,
+    allen_relation,
     build_gcd_partition,
     create_network,
     network_decide,
     sequence,
 )
-from coincide.coincidence import SLOT_SUB_COMPONENT, NetworkEntry
+from coincide.coincidence import SLOT_SUB_COMPONENT, NetworkEntry, _entry
 from .conftest import sequence_pairs, sequence_specs
 from .refimpl import cursor_network, network_from_period
 
@@ -95,6 +97,21 @@ def test_matches_cursor_walk_on_every_small_window():
                 assert len(net.runs) <= 3
                 assert (list(net.entries), net.flag) == cursor_network(spec, g, p)
                 assert all(e.common_dur == d for e in net.entries if e.rel in inside)
+
+
+def test_entry_relation_is_the_allen_relation_to_its_slot():
+    # Complete on its range: every slot size g <= 8, start a < 30,
+    # duration d < 30 and every slot r the window overlaps, 40,007 entries.
+    entries = 0
+    for g in range(1, 9):
+        for a in range(30):
+            for d in range(1, 30):
+                for r in range(a // g, (a + d - 1) // g + 1):
+                    e = _entry(a, d, r, g)
+                    assert e.rel is allen_relation(Interval(a, d), Interval(r * g, g))
+                    assert (e.left_gap, e.right_gap) == (max(0, a - r * g), max(0, (r + 1) * g - a - d))
+                    entries += 1
+    assert entries == 40_007
 
 
 @given(sequence_specs(max_components=6, max_dur=10))

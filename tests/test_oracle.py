@@ -8,10 +8,12 @@ from coincide import (
     Interval,
     allen_relation,
     enumerate_coincidences,
+    cycle_duration,
     oracle_decide,
     sequence,
 )
 from coincide.intervals import Relation
+from coincide.oracle import project
 from .conftest import sequence_pairs
 from .refimpl import naive_windows
 
@@ -64,11 +66,41 @@ def test_sweep_matches_naive_double_loop(pair):
 
 @settings(deadline=None)
 @given(sequence_pairs())
+def test_projection_of_every_pair_is_its_oracle_spans(pair):
+    x, y = pair
+    spans = project(x, y)
+    assert len(spans) == x.length
+    for p in range(x.length):
+        assert len(spans[p]) == y.length
+        for q in range(y.length):
+            assert spans[p][q] == list(oracle_decide(x, y, p, q).spans)
+
+
+@settings(deadline=None)
+@given(sequence_pairs())
+def test_projection_pieces_tile_the_cycle(pair):
+    # Both sides tile the cycle, so every unit lies in exactly one piece of
+    # exactly one pair: in order the pieces run from 0 to the cycle end
+    # without a gap or an overlap.
+    x, y = pair
+    pieces = sorted(w for row in project(x, y) for windows in row for w in windows)
+    assert sum(e - s for s, e in pieces) == cycle_duration(x, y)
+    assert [s for s, _ in pieces] == [0] + [e for _, e in pieces[:-1]]
+    assert pieces[-1][1] == cycle_duration(x, y)
+
+
+def test_projection_of_the_factory(weekday, machine):
+    # Mondays start at 0, 7, ..., 49; the machine works [8k, 8k + 5).
+    spans = project(weekday, machine)
+    assert spans[2][1] == [(23, 24), (30, 31), (37, 38)]
+    assert spans[0][0] == [(0, 1), (28, 29), (35, 36), (42, 43), (49, 50)]
+
+
+@settings(deadline=None)
+@given(sequence_pairs())
 def test_comparisons_formula(pair):
     x, y = pair
     rep = oracle_decide(x, y, 0, 0)
-    from coincide import cycle_duration
-
     cycle = cycle_duration(x, y)
     assert rep.comparisons == (cycle // x.total_dur) * (cycle // y.total_dur)
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 
@@ -163,6 +165,61 @@ def test_verification_reports_a_witness_that_is_not_a_projection_window(monkeypa
     report = run_verification(20, 42, include_battery=False)
     assert report.witness_errors > 0 and not report.passed
     assert report.witness_errors == sum("not among projection windows" in f for f in report.failures)
+
+
+def test_verification_projects_once_per_instance(monkeypatch):
+    sweeps = []
+    project = coincide.verify.project
+
+    def counted_project(x, y):
+        sweeps.append((x, y))
+        return project(x, y)
+
+    monkeypatch.setattr(coincide.verify, "project", counted_project)
+    pairs = 0
+    for seed in range(20):
+        sweeps.clear()
+        report = run_verification(1, seed)
+        assert report.passed
+        assert len(sweeps) == 1
+        pairs += report.pairs_checked
+    assert pairs > 20
+    sweeps.clear()
+    run_verification(30, 42, include_battery=False)
+    assert len(sweeps) == 30
+
+
+_FAILURE = re.compile(r"trial (\d+): (verdict mismatch|witness) .*?at \(p=(\d+), q=(\d+)\)")
+
+
+def test_verification_reports_flipped_verdicts_in_pair_order(monkeypatch):
+    # Every pair with p + q even gets the opposite verdict.  A flipped
+    # negative comes with a witness that cannot be a projection window, so
+    # its pair also has a witness line, after its mismatch line.
+    decide = coincide.verify.decide
+    flipped = []
+
+    def flip_some(x, y, p, q):
+        d = decide(x, y, p, q)
+        if (p + q) % 2:
+            return d
+        flipped.append(d.coincides)
+        return Decision(False) if d.coincides else Decision(True, Interval(-2, 1), (0, 0))
+
+    monkeypatch.setattr(coincide.verify, "decide", flip_some)
+    report = run_verification(30, 42, include_battery=False)
+    assert not report.passed
+    assert report.mismatches == len(flipped)
+    assert report.witness_errors == flipped.count(False) > 0
+    assert flipped.count(True) > 0
+    kinds = {"verdict mismatch": 0, "witness": 1}
+    keys = [
+        (int(t), int(p), int(q), kinds[kind])
+        for t, kind, p, q in (_FAILURE.match(f).groups() for f in report.failures)
+    ]
+    assert len(keys) == len(report.failures) == report.mismatches + report.witness_errors
+    assert keys == sorted(keys)
+    assert all((p + q) % 2 == 0 for _, p, q, _ in keys)
 
 
 def test_oracle_builds_no_interval_per_window(monkeypatch):
