@@ -260,17 +260,9 @@ def cmd_verify(args) -> int:
 
     report = run_verification(args.trials, args.seed)
     if args.format == "json":
-        doc = {
-            "trials": report.trials,
-            "seed": report.seed,
-            "pairs_checked": report.pairs_checked,
-            "mismatches": report.mismatches,
-            "witness_errors": report.witness_errors,
-            "battery_pairs": report.battery_pairs,
-            "soundness_violations": report.soundness_violations,
-            "exhaustiveness_gaps": report.exhaustiveness_gaps,
-            "passed": report.passed,
-        }
+        # Keys in the report's field order; failures are listed by the text output only.
+        doc = {**vars(report), "passed": report.passed}
+        del doc["failures"]
         print(_to_json(doc))
     else:
         for line in report.summary_lines():
@@ -285,14 +277,7 @@ def cmd_bench(args) -> int:
 
     report = run_bench(args.max_exponent)
     if args.format == "json":
-        doc = {
-            "rows": [
-                {"max_dur": r.max_dur, "gcd_method_ops": r.gcd_method_ops, "oracle_ops": r.oracle_ops}
-                for r in report.rows
-            ],
-            "gcd_slope": report.gcd_slope,
-            "oracle_slope": report.oracle_slope,
-        }
+        doc = {**vars(report), "rows": [vars(r) for r in report.rows]}
         print(_to_json(doc))
     else:
         for line in report.csv_lines():

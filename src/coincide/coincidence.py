@@ -165,59 +165,37 @@ def fired_theorems(ex: NetworkEntry, ey: NetworkEntry, g: int) -> set[str]:
     not exhaustive; overlapping pairs that fire nothing are possible and
     are surfaced by the verification harness as a census, not a failure.
 
-    Base rules T6.1-T6.9 take the x-side entry first; C6.1-C6.6 are the
-    same conditions with the two sides exchanged.
+    Rules 6.1-6.6 are one-sided: each is stated once over a (first,
+    second) entry pair and checked in both orders, firing as T6.k with
+    the x entry first and as C6.k with the y entry first.  T6.7-T6.9 read
+    both sides alike and are checked once.
     """
     rx, ry = ex.rel, ey.rel
-    cx, cy = ex.common_dur, ey.common_dur
     fired: set[str] = set()
     ov, ovb = Relation.OVERLAPS, Relation.OVERLAPPED_BY
     st, fin, dur = Relation.STARTS, Relation.FINISHES, Relation.DURING
 
-    # A slot fully inside either component overlaps the other side's
-    # entry window no matter what.
-    if rx in SLOT_SUB_COMPONENT or ry in SLOT_SUB_COMPONENT:
-        fired.add("T6.9")
-
-    # Both windows hang over the same slot edge: an overlap at that edge
-    # is forced.  Start-edge family {starts, overlaps}, end-edge family
-    # {finishes, overlapped-by}.
-    if (rx is ov and ry in (st, ov)) or (rx is ovb and ry in (fin, ovb)):
-        fired.add("T6.1")
-    if (ry is ov and rx in (st, ov)) or (ry is ovb and rx in (fin, ovb)):
-        fired.add("C6.1")
-
-    # Opposite edges, but together the windows are longer than the slot.
-    if rx is fin and ry is st and cx + cy > g:
-        fired.add("T6.2")
-    if ry is fin and rx is st and cx + cy > g:
-        fired.add("C6.2")
-
-    # One window starts the slot, the other floats inside it but starts
-    # before the first one ends.
-    if rx is st and ry is dur and ey.left_gap < cx:
-        fired.add("T6.3")
-    if ry is st and rx is dur and ex.left_gap < cy:
-        fired.add("C6.3")
-
-    # Mirror image at the slot's end.
-    if rx is fin and ry is dur and ey.right_gap < cx:
-        fired.add("T6.4")
-    if ry is fin and rx is dur and ex.right_gap < cy:
-        fired.add("C6.4")
-
-    # One window overhangs the slot start, the other floats inside and
-    # begins before the overhanging part runs out.
-    if rx is ov and ry is dur and ey.left_gap < cx:
-        fired.add("T6.5")
-    if ry is ov and rx is dur and ex.left_gap < cy:
-        fired.add("C6.5")
-
-    # Overhang at the slot end instead.
-    if rx is ovb and ry is dur and ey.right_gap < cx:
-        fired.add("T6.6")
-    if ry is ovb and rx is dur and ex.right_gap < cy:
-        fired.add("C6.6")
+    for e1, e2, side in ((ex, ey, "T"), (ey, ex, "C")):
+        r1, r2, c1 = e1.rel, e2.rel, e1.common_dur
+        # 6.1: both windows hang over the same slot edge, so an overlap at
+        # that edge is forced.  Start-edge family {starts, overlaps},
+        # end-edge family {finishes, overlapped-by}.
+        if (r1 is ov and r2 in (st, ov)) or (r1 is ovb and r2 in (fin, ovb)):
+            fired.add(side + "6.1")
+        # 6.2: opposite edges, but together the windows are longer than the slot.
+        if r1 is fin and r2 is st and c1 + e2.common_dur > g:
+            fired.add(side + "6.2")
+        # 6.3-6.6: the second window floats inside the slot and reaches the
+        # first one's in-slot part, which starts the slot (6.3), finishes it
+        # (6.4), overhangs its start (6.5) or overhangs its end (6.6).
+        if r1 is st and r2 is dur and e2.left_gap < c1:
+            fired.add(side + "6.3")
+        if r1 is fin and r2 is dur and e2.right_gap < c1:
+            fired.add(side + "6.4")
+        if r1 is ov and r2 is dur and e2.left_gap < c1:
+            fired.add(side + "6.5")
+        if r1 is ovb and r2 is dur and e2.right_gap < c1:
+            fired.add(side + "6.6")
 
     # Same anchor on both sides: both start the slot or both finish it.
     if (rx is st and ry is st) or (rx is fin and ry is fin):
@@ -227,8 +205,13 @@ def fired_theorems(ex: NetworkEntry, ey: NetworkEntry, g: int) -> set[str]:
     # than the other window's length.
     if rx is dur and ry is dur:
         jj, kk = ex.left_gap, ey.left_gap
-        if (kk <= jj < kk + cy) or (jj <= kk < jj + cx):
+        if (kk <= jj < kk + ey.common_dur) or (jj <= kk < jj + ex.common_dur):
             fired.add("T6.8")
+
+    # A slot fully inside either component overlaps the other side's
+    # entry window no matter what.
+    if rx in SLOT_SUB_COMPONENT or ry in SLOT_SUB_COMPONENT:
+        fired.add("T6.9")
 
     return fired
 

@@ -47,8 +47,9 @@ class SequenceSpec:
     Component ``i`` (0-based) lasts ``durs[i]`` units and is named
     ``names[i]``.  ``offsets()[p]`` starts component ``p`` within a period
     of ``total_dur`` units; both are computed once, when the spec is built.
-    Building one checks it: ``durs`` and ``names`` are tuples of one
-    non-zero length, of strings and of positive ints (not bools).
+    Building one checks it: ``name`` is a string, and ``durs`` and
+    ``names`` are tuples of one non-zero length, of strings and of
+    positive ints (not bools).
     """
 
     name: str
@@ -58,6 +59,8 @@ class SequenceSpec:
     _offsets: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise CoincideError(f"sequence name must be a string, got {self.name!r}")
         durs, names = self.durs, self.names
         if not isinstance(durs, tuple) or not isinstance(names, tuple):
             kinds = f"{type(durs).__name__} and {type(names).__name__}"
@@ -90,9 +93,17 @@ class SequenceSpec:
 
 
 def sequence(name: str, *durs: int, component_names: list[str] | None = None) -> SequenceSpec:
-    """Convenience constructor: one name per duration, ``c0, c1, ...`` by default."""
-    names = [f"c{i}" for i in range(len(durs))] if component_names is None else component_names
-    return SequenceSpec(name, durs, tuple(names))
+    """Convenience constructor: one name per duration, ``c0, c1, ...`` by default.
+
+    ``component_names`` is a list or tuple; a string or a dict is rejected
+    rather than split into characters or read for its keys.
+    """
+    if component_names is None:
+        component_names = [f"c{i}" for i in range(len(durs))]
+    elif not isinstance(component_names, (list, tuple)):
+        kind = type(component_names).__name__
+        raise CoincideError(f"sequence {name!r}: component_names must be a list or tuple, got {kind}")
+    return SequenceSpec(name, durs, tuple(component_names))
 
 
 def _check_index(spec: SequenceSpec, p: int) -> None:

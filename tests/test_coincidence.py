@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from coincide import (
     oracle_decide,
     sequence,
 )
-from coincide.coincidence import _first_hit
+from coincide.coincidence import _entry, _first_hit
 from .conftest import large_sequence_pairs, many_window_queries, sequence_pairs
 from .refimpl import frame_overlap, frame_window, naive_windows, scan_first_window
 
@@ -230,6 +231,46 @@ def test_battery_is_sound_on_every_entry_pair(pair):
                 for ey in ny.entries:
                     if fired_theorems(ex, ey, g):
                         assert frame_overlap(wx, frame_window(y, q, ey.slot, g))
+
+
+def _slot_shapes(g):
+    """Every entry shape on the slot ``[0, g)``: a window that starts before,
+    at or inside the slot and ends inside, at or after it, meeting it."""
+    return [_entry(lo, end - lo, 0, g) for lo in range(-1, g) for end in range(max(lo, 0) + 1, g + 2)]
+
+
+# T6.k and C6.k (k <= 6) trade places when the entries are exchanged;
+# T6.7-T6.9 read both sides alike.
+_EXCHANGED = {f"T6.{k}": f"C6.{k}" for k in range(1, 7)}
+_EXCHANGED |= {c: t for t, c in _EXCHANGED.items()} | {f"T6.{k}": f"T6.{k}" for k in (7, 8, 9)}
+
+
+def test_battery_over_every_entry_shape_pair():
+    # Complete, not sampled: every pair of entry shapes of every g <= 16.
+    per_rule, gaps, pairs = Counter(), Counter(), 0
+    for g in range(1, 17):
+        shapes = _slot_shapes(g)
+        fired = [[fired_theorems(ex, ey, g) for ey in shapes] for ex in shapes]
+        pairs += len(shapes) ** 2
+        for i, ex in enumerate(shapes):
+            for j, ey in enumerate(shapes):
+                rules = fired[i][j]
+                overlap = check_pair(ex, ey, g)
+                assert overlap or not rules, (g, ex, ey, rules)
+                assert {_EXCHANGED[r] for r in rules} == fired[j][i], (g, ex, ey)
+                per_rule.update(rules)
+                if overlap and not rules:
+                    gaps[ex.rel, ey.rel] += 1
+    assert pairs == 118_744
+    one_sided = {"6.1": 4960, "6.2": 560, "6.3": 4200, "6.4": 4200, "6.5": 4200, "6.6": 4200}
+    expected = {side + k: n for k, n in one_sided.items() for side in "TC"}
+    assert per_rule == Counter(expected | {"T6.7": 2480, "T6.8": 25_312, "T6.9": 8576})
+    # The battery leaves gaps only where one window hangs on the slot's
+    # start edge and the other on its end edge.
+    ov, ovb = Relation.OVERLAPS, Relation.OVERLAPPED_BY
+    st, fin = Relation.STARTS, Relation.FINISHES
+    gap_pairs = [(ov, ovb), (ovb, ov), (st, ovb), (ovb, st), (fin, ov), (ov, fin)]
+    assert gaps == Counter({rels: 560 for rels in gap_pairs})
 
 
 @settings(deadline=None)

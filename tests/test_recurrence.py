@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -94,6 +96,27 @@ def test_rejects_names_that_are_not_strings(names, message):
 def test_sequence_rejects_a_name_that_is_not_a_string():
     with pytest.raises(CoincideError, match="component 0: name must be a string, got 3"):
         sequence("x", 1, component_names=[3])
+
+
+@pytest.mark.parametrize("name", [5, None, b"x", ("x",)], ids=["int", "none", "bytes", "tuple"])
+def test_rejects_a_sequence_name_that_is_not_a_string(name):
+    with pytest.raises(CoincideError, match=f"^sequence name must be a string, got {re.escape(repr(name))}$"):
+        SequenceSpec(name, (1,), ("a",))
+
+
+@pytest.mark.parametrize(
+    "names, kind",
+    [("abc", "str"), ({"a": 1, "b": 2, "c": 3}, "dict"), (iter(["a", "b", "c"]), "list_iterator")],
+    ids=["str", "dict", "iterator"],
+)
+def test_sequence_rejects_component_names_that_are_not_a_list_or_tuple(names, kind):
+    # A string used to be split into one-letter names and a dict read for its keys
+    with pytest.raises(CoincideError, match=f"^sequence 'x': component_names must be a list or tuple, got {kind}$"):
+        sequence("x", 1, 2, 3, component_names=names)
+
+
+def test_sequence_takes_component_names_as_a_list_or_a_tuple():
+    assert sequence("x", 1, 2, component_names=["a", "b"]) == sequence("x", 1, 2, component_names=("a", "b"))
 
 
 _BAD_DURATIONS = st.sampled_from([0, -1, -(2**70), True, False, 2.5, 1.0, "3", None, [1]])

@@ -265,6 +265,14 @@ def test_bench_rows_and_slopes():
     assert 0.7 <= report.gcd_slope <= 1.3
 
 
+def test_bench_oracle_ops_are_the_projection_comparisons():
+    # bench reads R * S from the slot grid; projection counts the same pairs.
+    for row in run_bench(7).rows:
+        big_d = row.max_dur
+        x, y = sequence("x", *([1] * big_d)), sequence("y", *([1] * (big_d - 1)))
+        assert row.oracle_ops == oracle_decide(x, y, big_d // 2, (big_d - 1) // 2).comparisons
+
+
 def test_bench_csv_shape():
     report = run_bench(5)
     lines = report.csv_lines()
