@@ -2,16 +2,18 @@
 
 Subcommands: check, witness, enumerate, partition, network, verify, bench.
 Exit status is 0 whenever the command ran to completion (a negative
-verdict is still 0) and 2 on any input or usage error; verdicts live in
-the output document, never in the exit code.
+verdict is still 0), 1 when the reader closed the output pipe before the
+output ended (nothing is printed then), and 2 on any input or usage
+error; verdicts live in the output document, never in the exit code.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
+import os
 import sys
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import itemgetter
 
@@ -99,10 +101,6 @@ def _window_obj(start: int, end: int) -> dict:
     return {"start": start, "end": end}
 
 
-class _Rendered(str):
-    """Output text already rendered in place; both formats emit it verbatim."""
-
-
 def _to_json(value, pad: str = "\n") -> str:
     """``json.dumps(value, indent=2)``, built without reference cycles.
 
@@ -113,7 +111,7 @@ def _to_json(value, pad: str = "\n") -> str:
     indentation of the enclosing container.  Dict keys must be strings.
     """
     if isinstance(value, str):
-        return value if type(value) is _Rendered else _json_str(value)
+        return _json_str(value)
     if value is None:
         return "null"
     if value is True:
@@ -181,7 +179,7 @@ def cmd_check(args) -> int:
 
 def cmd_witness(args) -> int:
     k, unit = _load_query(args)
-    w = k.first_window()
+    w = next(k.walk(), None)
     doc = {
         "coincides": w is not None,
         "witness": _window_obj(*w) if w else None,
@@ -194,24 +192,29 @@ def cmd_witness(args) -> int:
 
 def cmd_enumerate(args) -> int:
     k, unit = _load_query(args)
-    spans = k.spans()
-    # One template per window, filled from the flat endpoints in one pass.
-    flat = tuple(chain.from_iterable(spans))
+    walk = k.walk()
+    first = next(walk, None)
+    head = {"coincides": first is not None, "witness": _window_obj(*first) if first else None}
+    # "comparisons" is what projecting the cycle would cost: R * S incidence pairs.
+    tail = {**_grid(k.part), "method": "gcd-partition", "comparisons": k.part.cycle_slots}
+    write = sys.stdout.write
     if args.format == "json":  # one level deep, indented as _to_json would
-        item = '{\n      "start": %d,\n      "end": %d\n    }'
-        windows = ("[\n    " + ",\n    ".join([item] * len(spans)) + "\n  ]") % flat if spans else "[]"
+        item, sep, close = '{\n      "start": %d,\n      "end": %d\n    }', ",\n    ", "\n  ]"
+        write(_to_json(head)[:-2] + ',\n  "windows": ' + ("[\n    " + item % first if first else "[]"))
     else:
-        windows = " ".join(["[%d, %d)"] * len(spans)) % flat if spans else "(none)"
-    doc = {
-        "coincides": bool(spans),
-        "witness": _window_obj(*spans[0]) if spans else None,
-        "windows": _Rendered(windows),
-        **_grid(k.part),
-        "method": "gcd-partition",
-        # What projecting the cycle would cost: R * S incidence pairs.
-        "comparisons": k.part.cycle_slots,
-    }
-    _emit(args, doc, unit)
+        item, sep, close = "[%d, %d)", " ", "\n"
+        _emit(args, head)
+        write("windows: " + (item % first if first else "(none)\n"))
+    if first:
+        # One template per window, filled 1024 windows per write: memory stays flat.
+        row = sep + item
+        for flat in iter(lambda: tuple(chain.from_iterable(islice(walk, 1024))), ()):
+            write(row * (len(flat) // 2) % flat)
+        write(close)
+    if args.format == "json":
+        write("," + _to_json(tail)[1:] + "\n")
+    else:
+        _emit(args, tail, unit)
     return 0
 
 
@@ -346,8 +349,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    # JSONDecodeError subclasses ValueError, so it must be caught first.
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe is met here, not at exit
+        return code
+    # BrokenPipeError subclasses OSError, JSONDecodeError ValueError: both first.
+    except BrokenPipeError:
+        # The reader left: send what is still buffered to devnull, so the
+        # flush at exit cannot fail again (Python docs, "Note on SIGPIPE").
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON input: {exc}", file=sys.stderr)
         return 2

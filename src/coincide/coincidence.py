@@ -9,20 +9,18 @@ overlaps, overlaps in the shared slot frame iff ``m = r - s`` lies in
 ``hi = ceil((d_x - c) / g) - 1``.  So the verdict is O(1) arithmetic:
 the components coincide iff ``lo <= hi``.  Each admissible ``m`` shifts
 the y window by ``m * g + c`` against the x window and gives exactly one
-shared window per joint cycle; one modular inverse of R mod S, the CRT
-step of ``align_slot``, places it.  Enumeration therefore costs one step
-per window, never one per slot, and builds no object per window:
-``_ShiftKernel.spans`` yields plain ``(start, end)`` ints from one loop,
-which the CLI writes through one template.  The earliest window costs
-O(log(R + S)) on the same kernel.  A window with ``m * g + c <= 0`` starts
-at its x incidence, in x's period ``n`` with ``m = -n * R (mod S)``; every
-other window starts at its y incidence, in y's period ``n'`` with
-``m = n' * S (mod R)``.  The earliest window of each kind is the least
-period whose residue falls in that kind's interval of ``m``, found by a
-Euclid-like recursion (``_first_hit``), and the earliest window is the
-earlier of the two.  A query builds one kernel, so one partition and one
-modular inverse; ``check`` reads the entries of its witnessing slot pair
-from the kernel as well.
+shared window per joint cycle, in x's period ``n`` with
+``m = -n * R (mod S)``: one modular inverse of R mod S, the CRT step of
+``align_slot``, places it.  A window lies inside its x incidence, so the
+windows ascend by ``n``, then by ``m``, and one walk
+(``_ShiftKernel.walk``) yields them in that order as plain ``(start, end)``
+ints, carrying the residue of ``m`` from period to period.  Where periods
+hold no window it jumps to the next that holds one by a Euclid-like
+recursion (``_first_hit``) in O(log S).  The earliest window is the walk's
+first item, and ``enumerate`` streams the rest: one step per window, never
+one per slot, and the CLI builds no ``Interval`` per window.  A query
+builds one kernel, so one partition and one modular inverse; ``check``
+reads the entries of its witnessing slot pair from the kernel as well.
 
 The paper's per-period slot networks, its network verdict procedure and
 the qualitative rule battery stay as the explanation layer (``check``
@@ -34,6 +32,7 @@ and ``check_pair`` tests two entries for overlap from those gaps alone.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .intervals import Interval, Relation
@@ -260,22 +259,40 @@ class _ShiftKernel:
         ys = xs + m * part.slot_dur + self.b - self.a
         return max(xs, ys), min(xs + self.dx, ys + self.dy)
 
-    def spans(self) -> list[tuple[int, int]]:
-        """Every ``window(m)`` of one cycle, ascending, from one loop over ints:
-        at shift ``s = m * g + c`` in the x period starting at ``xs`` it is
-        ``[xs + max(s, 0), xs + min(s + dy, dx))``."""
+    def walk(self) -> Iterator[tuple[int, int]]:
+        """Every window of the cycle as ``(start, end)`` ints, ascending.
+
+        Each window lies inside one x incidence, which ends before x's
+        next period starts, so ascending order is by x period ``n``, then
+        by ``m``.  Period ``n`` holds the ``m`` in ``[lo, hi]`` with
+        ``m = -n * R (mod S)``: ``lo + res`` with ``res = (-n * R - lo) mod S``,
+        then every ``S`` up to ``hi``.  ``res`` is carried from period to
+        period; where it exceeds ``hi - lo`` the period holds none, and one
+        ``_first_hit`` call jumps to the next period that does.  At ``m``
+        the x incidence ``[xs, xs + dx)`` meets the y incidence that starts
+        at ``ys = xs + m * g + c``, which steps by ``S * g`` within a period.
+        """
         part = self.part
-        g, big_s, inv = part.slot_dur, part.slots_y, self.inv
-        rg, a, dx, dy = part.slots_x * g, self.a, self.dx, self.dy
-        c = self.b - a
-        spans = [
-            (xs + (s if s > 0 else 0), xs + (s + dy if s + dy < dx else dx))
-            for m in range(self.lo, self.hi + 1)
-            # One-element loops bind the period start and the shift.
-            for xs, s in (((-m * inv) % big_s * rg + a, m * g + c),)
-        ]
-        spans.sort()
-        return spans
+        g, big_s, lo, hi = part.slot_dur, part.slots_y, self.lo, self.hi
+        rg, sg, a, dx, dy = part.slots_x * g, big_s * g, self.a, self.dx, self.dy
+        s_lo, s_hi = lo * g + self.b - a, hi * g + self.b - a  # ys - xs at m = lo and m = hi
+        width, step = hi - lo, -part.slots_x % big_s
+        n, res = 0, -lo % big_s
+        while width >= 0:
+            if res > width:  # then S - res + width < S, so the target does not wrap
+                k = _first_hit(step, big_s, big_s - res, big_s - res + width)
+                n, res = n + k, (res + k * step) % big_s
+            if n >= big_s:
+                return
+            xs = n * rg + a
+            xe, ys, last = xs + dx, xs + s_lo + res * g, xs + s_hi
+            while ys <= last:
+                ye = ys + dy
+                yield (ys if ys > xs else xs), (ye if ye < xe else xe)
+                ys += sg
+            n, res = n + 1, res + step
+            if res >= big_s:
+                res -= big_s
 
     def decision(self) -> Decision:
         """The verdict, with the first overlapping entry pair as ``via``.
@@ -300,35 +317,6 @@ class _ShiftKernel:
         """The x and y network entries at the overlapping slot pair ``via``."""
         g = self.part.slot_dur
         return _entry(self.a, self.dx, via[0], g), _entry(self.b, self.dy, via[1], g)
-
-    def first_window(self) -> tuple[int, int] | None:
-        """The earliest window of the cycle, or None when there is none.
-
-        The windows with ``m * g + c <= 0`` start at x's period ``n``,
-        where ``m = -n * R (mod S)``; the others start at y's period
-        ``n'``, where ``m = n' * S (mod R)``.  On each side ``m`` runs over
-        ``[low, low + width]`` with ``width`` below the modulus, because
-        one incidence at most covers the other side's start.  The side's
-        earliest window is at the least period ``n >= 0`` with
-        ``(n * step - low) mod modulus <= width``, the step being ``-R``
-        or ``S``; the answer is the earlier of the two sides.
-        """
-        part = self.part
-        big_r, big_s = part.slots_x, part.slots_y
-        split = (self.a - self.b) // part.slot_dur  # the last m with m * g + c <= 0
-        first = None
-        for low, high, step, mod in (
-            (self.lo, min(self.hi, split), -big_r, big_s),
-            (max(self.lo, split + 1), self.hi, big_s, big_r),
-        ):
-            if low > high:
-                continue
-            res, width = low % mod, high - low
-            n = 0 if res + width >= mod else _first_hit(step % mod, mod, res, res + width)
-            w = self.window(low + (n * step - low) % mod)
-            if first is None or w < first:
-                first = w
-        return first
 
 
 def _first_hit(a: int, m: int, low: int, high: int) -> int:
@@ -380,12 +368,10 @@ def first_coincidence(x: SequenceSpec, y: SequenceSpec, p: int, q: int) -> Inter
 
     A window is the intersection of one incidence of each component, so
     it can touch a neighbouring window.  Returns None when the components
-    never coincide.  One kernel answers in O(log(R + S)): the earliest
-    window that starts at an x incidence and the earliest that starts at
-    a y incidence are each one ``_first_hit`` search over that side's
-    periods, and the earlier of the two wins (``_ShiftKernel.first_window``).
+    never coincide.  It is the first item of ``_ShiftKernel.walk``, found
+    in O(log S) by at most one ``_first_hit`` search.
     """
-    first = _shift_kernel(x, y, p, q).first_window()
+    first = next(_shift_kernel(x, y, p, q).walk(), None)
     return None if first is None else Interval.from_endpoints(*first)
 
 
@@ -398,7 +384,7 @@ def enumerate_coincidences(
     windows never overlap but can touch, so they are not merged into
     maximal runs.  Equal to ``oracle_decide(...).windows``.
     """
-    return tuple(Interval.from_endpoints(s, e) for s, e in _shift_kernel(x, y, p, q).spans())
+    return tuple(Interval.from_endpoints(s, e) for s, e in _shift_kernel(x, y, p, q).walk())
 
 
 def network_decide(x: SequenceSpec, y: SequenceSpec, p: int, q: int) -> tuple[bool, int]:

@@ -59,6 +59,9 @@ class Relation(Enum):
     FINISHED_BY = "finished-by"
     EQUALS = "equals"
 
+    # Members are singletons compared by identity: hash them by identity, in C.
+    __hash__ = object.__hash__
+
 
 def allen_relation(i: Interval, j: Interval) -> Relation:
     """Return the unique basic relation holding between ``i`` and ``j``."""

@@ -65,6 +65,38 @@ def many_window_queries(draw, max_dur: int = 30_000, max_components: int = 3):
     return x, y, draw(st.integers(0, x.length - 1)), draw(st.integers(0, y.length - 1))
 
 
+@st.composite
+def dense_walk_queries(draw):
+    """Queries ``(x, y, p, q)`` whose x component is at least one y period
+    long, so each of the S x periods of a cycle holds a window (W >= S)."""
+    y = draw(sequence_specs("y", 4, 8))
+    others = draw(st.lists(st.integers(1, 40), max_size=3))
+    p = draw(st.integers(0, len(others)))
+    dx = draw(st.integers(y.total_dur, 8 * y.total_dur))
+    x = sequence("x", *others[:p], dx, *others[p:])
+    return x, y, p, draw(st.integers(0, y.length - 1))
+
+
+@st.composite
+def sparse_walk_queries(draw, max_long: int = 10**12):
+    """Queries on a short component beside one or two long ones on each
+    side: periods of ``max_long / 10`` to ``2 * max_long`` units, while
+    the queried components are at most 64 slots of ``g <= 8`` units long,
+    so a cycle holds at most 128 windows, far fewer than its S x periods,
+    and S > ``max_long / 1000``."""
+    g = draw(st.integers(1, 8))
+
+    def side(name):
+        short = draw(st.integers(1, 64))
+        longs = draw(st.lists(st.integers(max_long // (10 * g), max_long // g), min_size=1, max_size=2))
+        at = draw(st.integers(0, len(longs)))
+        return sequence(name, *(g * d for d in (*longs[:at], short, *longs[at:]))), at
+
+    (x, p), (y, q) = side("x"), side("y")
+    assume(y.total_dur // math.gcd(x.total_dur, y.total_dur) > max_long // 1000)
+    return x, y, p, q
+
+
 @pytest.fixture
 def weekday() -> SequenceSpec:
     return sequence(

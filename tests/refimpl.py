@@ -18,6 +18,7 @@ from coincide.coincidence import (
     SLOT_SUB_COMPONENT,
     NetworkEntry,
     _shift_kernel,
+    _ShiftKernel,
     create_network,
     fired_theorems,
 )
@@ -93,6 +94,12 @@ def naive_windows(x: SequenceSpec, y: SequenceSpec, p: int, q: int) -> list[Inte
             if s < e:
                 out.append(Interval.from_endpoints(s, e))
     return sorted(out, key=lambda w: w.start)
+
+
+def sorted_windows(k: _ShiftKernel) -> list[tuple[int, int]]:
+    """Every window of a kernel's cycle, one ``window(m)`` per admissible
+    slot difference, sorted: the peer of ``_ShiftKernel.walk``."""
+    return sorted(map(k.window, range(k.lo, k.hi + 1)))
 
 
 def scan_first_window(x: SequenceSpec, y: SequenceSpec, p: int, q: int) -> Interval | None:

@@ -3,6 +3,9 @@ from __future__ import annotations
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -35,7 +38,8 @@ from coincide.coincidence import _shift_kernel, _ShiftKernel
 from .conftest import sequence_pairs
 from .refimpl import scan_first_window, walk_sequence
 
-QUERIES = Path(__file__).resolve().parents[1] / "queries"
+ROOT = Path(__file__).resolve().parents[1]
+QUERIES = ROOT / "queries"
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -451,12 +455,12 @@ _ENDPOINTS = st.integers(min_value=0, max_value=2**80)
 @example([(23, 24)])
 @example([(2**63 - 1, 2**63), (2**64, 2**70 + 1)])
 def test_enumerate_renders_windows_as_the_stdlib_does(spans):
-    # Whatever spans the kernel returns, the templated windows block is
+    # Whatever windows the kernel's walk yields, the templated windows block is
     # the stdlib's JSON of one dict per window, and the text line is the
     # per-window f-string rendering
     out = {}
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_ShiftKernel, "spans", lambda self: list(spans))
+        mp.setattr(_ShiftKernel, "walk", lambda self: iter(spans))
         for fmt in ("json", "text"):
             buf = io.StringIO()
             with redirect_stdout(buf):
@@ -660,6 +664,101 @@ def test_network_of_a_million_slots_holds_a_few_megabytes(tmp_path):
 def test_million_slot_reference_is_stdlib_indented_json():
     small = "".join(_million_slot_network("json", 3))
     assert small == _to_json(json.loads(small)) + "\n"
+
+
+def _enumerate_long_x(fmt: str, n: int):
+    """The expected ``enumerate`` output, piece by piece, for x = (n, 1) and
+    y = (3, 2), p = q = 0, on g = 1: x[0] = [xs, xs + n) in each of its
+    five periods against every y[0] = [5u, 5u + 3) that it overlaps."""
+    windows = (
+        (max(xs, 5 * u), min(xs + n, 5 * u + 3))
+        for xs in range(0, 5 * (n + 1), n + 1)
+        for u in range((xs - 3) // 5 + 1, (xs + n - 1) // 5 + 1)
+    )
+    s, e = next(windows)
+    cycle = 5 * (n + 1)
+    if fmt == "text":
+        yield f"coincides: true\nwitness: [{s}, {e})\nwindows: [{s}, {e})"
+        for s, e in windows:
+            yield f" [{s}, {e})"
+        yield f"\npartition: g=1 R={n + 1} S=5\ncycle: {cycle}\nmethod: gcd-partition\ncomparisons: {cycle}\n"
+        return
+    yield f'{{\n  "coincides": true,\n  "witness": {{\n    "start": {s},\n    "end": {e}\n  }},\n  "windows": ['
+    yield f'\n    {{\n      "start": {s},\n      "end": {e}\n    }}'
+    for s, e in windows:
+        yield f',\n    {{\n      "start": {s},\n      "end": {e}\n    }}'
+    yield (
+        f'\n  ],\n  "partition": {{\n    "g": 1,\n    "R": {n + 1},\n    "S": 5\n  }},\n'
+        f'  "cycle": {cycle},\n  "method": "gcd-partition",\n  "comparisons": {cycle}\n}}\n'
+    )
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_enumerate_long_x_reference_is_the_cli_output(capsys, tmp_path, fmt):
+    path = write_doc(tmp_path, _long_component_doc((7, 1), (3, 2)))
+    code, out, _ = run(capsys, "enumerate", "--input", path, "--format", fmt)
+    assert code == 0
+    assert out == "".join(_enumerate_long_x(fmt, 7))
+    if fmt == "json":
+        assert out == _to_json(json.loads(out)) + "\n"
+
+
+def _enumerate_long_x_digest(fmt: str, n: int) -> tuple[int, str, str]:
+    """Character count and first and last 200 characters of the expected
+    output, as a ``_ByteCounter`` keeps them."""
+    sink, pieces = _ByteCounter(), _enumerate_long_x(fmt, n)
+    for chunk in iter(lambda: "".join(islice(pieces, 1024)), ""):
+        sink.write(chunk)
+    return sink.count, sink.head, sink.tail
+
+
+def _enumerate_to_sink(path: str, fmt: str) -> tuple[int, tuple[int, str, str]]:
+    sink = _ByteCounter()
+    with redirect_stdout(sink):
+        code = main(["enumerate", "--input", path, "--format", fmt])
+    return code, (sink.count, sink.head, sink.tail)
+
+
+def test_enumerate_of_a_million_windows_is_written_in_full_as_text(tmp_path):
+    n = 10**6  # 1,000,002 windows
+    code, digest = _enumerate_to_sink(write_doc(tmp_path, _long_component_doc((n, 1), (3, 2))), "text")
+    assert code == 0
+    assert digest == _enumerate_long_x_digest("text", n)
+
+
+def test_enumerate_of_a_million_windows_holds_a_few_megabytes(tmp_path):
+    # 1,000,002 windows are 45 MB of JSON, which must leave while it is
+    # written: the walk and the writes hold one chunk of windows at a time.
+    # Text goes through the same loop; under tracemalloc each format takes
+    # seconds, so the text output is checked untraced, above.
+    n = 10**6
+    path = write_doc(tmp_path, _long_component_doc((n, 1), (3, 2)))
+    tracemalloc.start()
+    try:
+        code, digest = _enumerate_to_sink(path, "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert digest == _enumerate_long_x_digest("json", n)
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("command", [["enumerate"], ["network", "--side", "x", "--index", "0"]])
+def test_a_reader_that_leaves_early_ends_the_run_with_exit_1_and_no_message(tmp_path, command):
+    # Megabytes of output into a pipe whose reader closes after 100 bytes.
+    path = write_doc(tmp_path, _long_component_doc((10**5, 1), (3, 2)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "coincide.cli", *command, "--input", path],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (1, b"")
 
 
 def test_network_bad_index(capsys, factory_path):

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coincide import (
     IndexOutOfRange,
@@ -24,9 +26,16 @@ from coincide import (
     oracle_decide,
     sequence,
 )
-from coincide.coincidence import _entry, _first_hit
-from .conftest import large_sequence_pairs, many_window_queries, sequence_pairs
-from .refimpl import frame_overlap, frame_window, naive_windows, scan_first_window
+from coincide.coincidence import _entry, _first_hit, _shift_kernel
+from coincide.oracle import project
+from .conftest import (
+    dense_walk_queries,
+    large_sequence_pairs,
+    many_window_queries,
+    sequence_pairs,
+    sparse_walk_queries,
+)
+from .refimpl import frame_overlap, frame_window, naive_windows, scan_first_window, sorted_windows
 
 
 def _entry_at(spec, g, p, r):
@@ -177,6 +186,64 @@ def test_first_hit_equals_brute_force_on_every_small_modulus():
                 for high in range(low, m):
                     first = next(k for k, v in enumerate(residues) if low <= v <= high)
                     assert _first_hit(a, m, low, high) == first, (a, m, low, high)
+
+
+@settings(deadline=None)
+@given(dense_walk_queries())
+def test_walk_equals_the_sorted_windows_when_every_period_holds_one(query):
+    k = _shift_kernel(*query)
+    assert k.hi - k.lo + 1 >= k.part.slots_y
+    assert list(k.walk()) == sorted_windows(k)
+
+
+@settings(deadline=None)
+@given(sparse_walk_queries())
+def test_walk_equals_the_sorted_windows_when_periods_hold_none(query):
+    k = _shift_kernel(*query)
+    assert k.hi - k.lo + 1 < k.part.slots_y
+    assert list(k.walk()) == sorted_windows(k)
+
+
+@settings(deadline=None)
+@given(st.one_of(dense_walk_queries(), sparse_walk_queries(max_long=2**60)))
+def test_walk_starts_at_the_scanned_first_window(query):
+    first = next(_shift_kernel(*query).walk(), None)
+    scanned = scan_first_window(*query)
+    assert first == (None if scanned is None else (scanned.start, scanned.end))
+
+
+def _compositions(n: int):
+    """Every tuple of positive durations that sums to ``n``."""
+    for k in range(n):
+        for cuts in combinations(range(1, n), k):
+            bounds = (0, *cuts, n)
+            yield tuple(e - s for s, e in zip(bounds, bounds[1:]))
+
+
+def test_kernel_equals_projection_on_every_pair_of_period_at_most_7():
+    # Exact at its scope, not sampled: every pair of sequences with period
+    # <= 7 (127 per side), so every component shape, every edge and every
+    # residue of R, S <= 7, against one projection sweep per pair.
+    specs = [sequence("s", *durs) for n in range(1, 8) for durs in _compositions(n)]
+    assert len(specs) == 127
+    pairs = 0
+    for x in specs:
+        for y in specs:
+            spans = project(x, y)
+            for p in range(x.length):
+                for q in range(y.length):
+                    windows = spans[p][q]
+                    assert [(w.start, w.end) for w in enumerate_coincidences(x, y, p, q)] == windows
+                    first = first_coincidence(x, y, p, q)
+                    assert (first and (first.start, first.end)) == (windows[0] if windows else None)
+                    d = decide(x, y, p, q)
+                    assert d.coincides == bool(windows)
+                    if d.coincides:
+                        # The slot pair whose entries and rules ``check`` reports.
+                        k = _shift_kernel(x, y, p, q)
+                        assert check_pair(*k.via_entries(d.via), k.part.slot_dur)
+                    pairs += 1
+    assert pairs == 200_704
 
 
 def test_windows_are_per_incidence_pair_not_maximal():
