@@ -17,7 +17,7 @@ from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import itemgetter
 
-from .coincidence import _shift_kernel, _ShiftKernel, create_network, fired_theorems
+from .coincidence import _ShiftKernel, create_network, fired_theorems
 from .intervals import CoincideError
 from .partition import GcdPartition, build_gcd_partition
 from .recurrence import SequenceSpec, resolve_component
@@ -94,7 +94,7 @@ def _load_query(args) -> tuple[_ShiftKernel, str | None]:
         raise ValueError("both 'p' and 'q' must be given (document field or flag)")
     p = resolve_component(x, p_key)
     q = resolve_component(y, q_key)
-    return _shift_kernel(x, y, p, q), doc.get("unit")
+    return _ShiftKernel(x, y, p, q), doc.get("unit")
 
 
 def _window_obj(start: int, end: int) -> dict:

@@ -10,17 +10,17 @@ overlaps, overlaps in the shared slot frame iff ``m = r - s`` lies in
 the components coincide iff ``lo <= hi``.  Each admissible ``m`` shifts
 the y window by ``m * g + c`` against the x window and gives exactly one
 shared window per joint cycle, in x's period ``n`` with
-``m = -n * R (mod S)``: one modular inverse of R mod S, the CRT step of
-``align_slot``, places it.  A window lies inside its x incidence, so the
+``m = -n * R (mod S)``.  A window lies inside its x incidence, so the
 windows ascend by ``n``, then by ``m``, and one walk
 (``_ShiftKernel.walk``) yields them in that order as plain ``(start, end)``
 ints, carrying the residue of ``m`` from period to period.  Where periods
 hold no window it jumps to the next that holds one by a Euclid-like
-recursion (``_first_hit``) in O(log S).  The earliest window is the walk's
+descent (``_first_hit``) in O(log S).  The earliest window is the walk's
 first item, and ``enumerate`` streams the rest: one step per window, never
 one per slot, and the CLI builds no ``Interval`` per window.  A query
-builds one kernel, so one partition and one modular inverse; ``check``
-reads the entries of its witnessing slot pair from the kernel as well.
+builds one kernel, so one partition.  ``check``'s witness is placed by
+the CRT step of ``align_slot`` on its witnessing slot pair, whose entries
+it reads from the kernel as well.
 
 The paper's per-period slot networks, its network verdict procedure and
 the qualitative rule battery stay as the explanation layer (``check``
@@ -36,7 +36,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .intervals import Interval, Relation
-from .partition import BadGcd, GcdPartition, build_gcd_partition
+from .partition import BadGcd, align_slot, build_gcd_partition
 from .recurrence import SequenceSpec, _check_index
 
 # Relations meaning the slot lies fully inside the component window.  Any
@@ -231,33 +231,27 @@ class Decision:
     via: tuple[int, int] | None = None
 
 
-@dataclass(frozen=True)
 class _ShiftKernel:
-    """One query in residue-shift form; see the module docstring.
+    """One query ``x[p]`` against ``y[q]`` in residue-shift form; see the
+    module docstring.
 
     ``a``/``dx`` and ``b``/``dy`` are the period-local start and duration
     of ``x[p]`` and ``y[q]``; entry pair ``(r, s)`` overlaps iff
-    ``lo <= r - s <= hi``.  ``inv`` is R^-1 mod S.
+    ``lo <= r - s <= hi``.
     """
 
-    part: GcdPartition
-    a: int
-    dx: int
-    b: int
-    dy: int
-    lo: int
-    hi: int
-    inv: int
+    __slots__ = ("part", "a", "dx", "b", "dy", "lo", "hi")
 
-    def window(self, m: int) -> tuple[int, int]:
-        """``(start, end)`` of the one cycle window at slot difference ``m``."""
-        part = self.part
-        # x's period n meets y's period n' at this shift iff n'S - nR = m,
-        # so n = -m * R^-1 (mod S): the CRT step of align_slot.
-        n = (-m * self.inv) % part.slots_y
-        xs = n * part.slots_x * part.slot_dur + self.a
-        ys = xs + m * part.slot_dur + self.b - self.a
-        return max(xs, ys), min(xs + self.dx, ys + self.dy)
+    def __init__(self, x: SequenceSpec, y: SequenceSpec, p: int, q: int):
+        _check_index(x, p)
+        _check_index(y, q)
+        self.part = part = build_gcd_partition(x, y)
+        g = part.slot_dur
+        self.a, self.b = a, b = x.offsets()[p], y.offsets()[q]
+        self.dx, self.dy = dx, dy = x.durs[p], y.durs[q]
+        c = b - a
+        self.lo = (-dy - c) // g + 1
+        self.hi = (dx - c - 1) // g
 
     def walk(self) -> Iterator[tuple[int, int]]:
         """Every window of the cycle as ``(start, end)`` ints, ascending.
@@ -307,11 +301,17 @@ class _ShiftKernel:
         """
         if self.lo > self.hi:
             return Decision(False)
-        g = self.part.slot_dur
-        fy = self.b // g
-        r = max(self.a // g, fy + self.lo)
+        part, a, b = self.part, self.a, self.b
+        g = part.slot_dur
+        fy = b // g
+        r = max(a // g, fy + self.lo)
         s = max(fy, r - self.hi)
-        return Decision(True, Interval.from_endpoints(*self.window(r - s)), (r, s))
+        # Cycle slot k is slot r of x's period k // R and slot s of y's
+        # period k // S, so those two incidences meet there.
+        k = align_slot(part, r, s)
+        xs, ys = (k - r) * g + a, (k - s) * g + b
+        witness = Interval.from_endpoints(max(xs, ys), min(xs + self.dx, ys + self.dy))
+        return Decision(True, witness, (r, s))
 
     def via_entries(self, via: tuple[int, int]) -> tuple[NetworkEntry, NetworkEntry]:
         """The x and y network entries at the overlapping slot pair ``via``."""
@@ -328,30 +328,26 @@ def _first_hit(a: int, m: int, low: int, high: int) -> int:
     ``low + m * j <= a * k <= high + m * j`` for the least ``j`` that
     admits one.  That interval holds a multiple of ``a`` iff
     ``m * j mod a`` lies in ``[a - high % a, a - low % a]``: the same
-    question on ``(m mod a, a)``, so the recursion follows Euclid's
-    algorithm and takes O(log m) steps.
+    question on ``(m mod a, a)``.  The loop descends through these
+    questions as Euclid's algorithm does, in O(log m) steps, keeping each
+    level's ``(a, m, low)`` in a linked tuple ``up``; it then unwinds,
+    turning each level's least ``j`` into the least ``k`` of the level
+    above.  A loop, not recursion, so no period is too long for the stack.
     """
-    if low == 0:
-        return 0
-    a %= m
-    k = -(-low // a)
-    if a * k <= high:
-        return k
-    j = _first_hit(m, a, a - high % a, a - low % a)
-    return -(-(low + m * j) // a)
-
-
-def _shift_kernel(x: SequenceSpec, y: SequenceSpec, p: int, q: int) -> _ShiftKernel:
-    _check_index(x, p)
-    _check_index(y, q)
-    part = build_gcd_partition(x, y)
-    g = part.slot_dur
-    a, b = x.offsets()[p], y.offsets()[q]
-    dx, dy = x.durs[p], y.durs[q]
-    c = b - a
-    lo = (-dy - c) // g + 1
-    hi = (dx - c - 1) // g
-    return _ShiftKernel(part, a, dx, b, dy, lo, hi, pow(part.slots_x, -1, part.slots_y))
+    up = ()
+    while low:
+        a %= m
+        k = -(-low // a)
+        if a * k <= high:
+            break
+        up = (a, m, low, up)
+        a, m, low, high = m, a, a - high % a, a - low % a
+    else:
+        k = 0
+    while up:
+        a, m, low, up = up
+        k = -(-(low + m * k) // a)
+    return k
 
 
 def decide(x: SequenceSpec, y: SequenceSpec, p: int, q: int) -> Decision:
@@ -360,7 +356,7 @@ def decide(x: SequenceSpec, y: SequenceSpec, p: int, q: int) -> Decision:
     O(1) on one residue-shift kernel; ``via`` is the first overlapping
     entry pair in the network scan order (``_ShiftKernel.decision``).
     """
-    return _shift_kernel(x, y, p, q).decision()
+    return _ShiftKernel(x, y, p, q).decision()
 
 
 def first_coincidence(x: SequenceSpec, y: SequenceSpec, p: int, q: int) -> Interval | None:
@@ -371,7 +367,7 @@ def first_coincidence(x: SequenceSpec, y: SequenceSpec, p: int, q: int) -> Inter
     never coincide.  It is the first item of ``_ShiftKernel.walk``, found
     in O(log S) by at most one ``_first_hit`` search.
     """
-    first = next(_shift_kernel(x, y, p, q).walk(), None)
+    first = next(_ShiftKernel(x, y, p, q).walk(), None)
     return None if first is None else Interval.from_endpoints(*first)
 
 
@@ -384,7 +380,7 @@ def enumerate_coincidences(
     windows never overlap but can touch, so they are not merged into
     maximal runs.  Equal to ``oracle_decide(...).windows``.
     """
-    return tuple(Interval.from_endpoints(s, e) for s, e in _shift_kernel(x, y, p, q).walk())
+    return tuple(Interval.from_endpoints(s, e) for s, e in _ShiftKernel(x, y, p, q).walk())
 
 
 def network_decide(x: SequenceSpec, y: SequenceSpec, p: int, q: int) -> tuple[bool, int]:

@@ -17,7 +17,6 @@ from coincide import (
 from coincide.coincidence import (
     SLOT_SUB_COMPONENT,
     NetworkEntry,
-    _shift_kernel,
     _ShiftKernel,
     create_network,
     fired_theorems,
@@ -96,17 +95,29 @@ def naive_windows(x: SequenceSpec, y: SequenceSpec, p: int, q: int) -> list[Inte
     return sorted(out, key=lambda w: w.start)
 
 
+def window(k: _ShiftKernel, m: int) -> tuple[int, int]:
+    """``(start, end)`` of the one cycle window of a kernel at slot
+    difference ``m``, placed by its own modular inverse: x's period ``n``
+    meets y's period ``n'`` at this shift iff ``n' * S - n * R = m``, so
+    ``n = -m * R^-1 (mod S)``."""
+    part = k.part
+    n = (-m * pow(part.slots_x, -1, part.slots_y)) % part.slots_y
+    xs = n * part.slots_x * part.slot_dur + k.a
+    ys = xs + m * part.slot_dur + k.b - k.a
+    return max(xs, ys), min(xs + k.dx, ys + k.dy)
+
+
 def sorted_windows(k: _ShiftKernel) -> list[tuple[int, int]]:
-    """Every window of a kernel's cycle, one ``window(m)`` per admissible
-    slot difference, sorted: the peer of ``_ShiftKernel.walk``."""
-    return sorted(map(k.window, range(k.lo, k.hi + 1)))
+    """Every window of a kernel's cycle, one ``window(k, m)`` per
+    admissible slot difference, sorted: the peer of ``_ShiftKernel.walk``."""
+    return sorted(window(k, m) for m in range(k.lo, k.hi + 1))
 
 
 def scan_first_window(x: SequenceSpec, y: SequenceSpec, p: int, q: int) -> Interval | None:
     """Earliest shared window by scanning every window of the kernel, one
     step per admissible slot difference."""
-    k = _shift_kernel(x, y, p, q)
-    first = min(map(k.window, range(k.lo, k.hi + 1)), default=None)
+    k = _ShiftKernel(x, y, p, q)
+    first = min((window(k, m) for m in range(k.lo, k.hi + 1)), default=None)
     return None if first is None else Interval.from_endpoints(*first)
 
 

@@ -8,7 +8,6 @@ import subprocess
 import sys
 import tempfile
 import time
-import tracemalloc
 from collections import deque
 from contextlib import redirect_stdout
 from itertools import islice
@@ -27,14 +26,16 @@ from coincide import (
     build_gcd_partition,
     create_network,
     decide,
+    enumerate_coincidences,
     fired_theorems,
+    first_coincidence,
     oracle_decide,
     resolve_component,
     sequence,
 )
 from coincide.bench import run_bench
 from coincide.cli import _parse_sequence, _to_json, main
-from coincide.coincidence import _shift_kernel, _ShiftKernel
+from coincide.coincidence import _ShiftKernel
 from .conftest import sequence_pairs
 from .refimpl import scan_first_window, walk_sequence
 
@@ -107,7 +108,7 @@ def test_check_flag_overrides(capsys, factory_path):
 
 
 def test_check_out_of_range_names_bound(capsys, tmp_path):
-    doc = json.load(open(QUERIES / "factory.json"))
+    doc = json.loads((QUERIES / "factory.json").read_text())
     doc["q"] = 5
     code, _, err = run(capsys, "check", "--input", write_doc(tmp_path, doc), "--format", "json")
     assert code == 2
@@ -336,7 +337,7 @@ def test_check_invalid_json_message(capsys, tmp_path):
 
 
 def test_boolean_component_key_is_input_error(capsys, tmp_path):
-    doc = json.load(open(QUERIES / "factory.json"))
+    doc = json.loads((QUERIES / "factory.json").read_text())
     doc["p"] = True
     code, out, err = run(capsys, "check", "--input", write_doc(tmp_path, doc))
     assert code == 2
@@ -347,7 +348,7 @@ def test_boolean_component_key_is_input_error(capsys, tmp_path):
 @pytest.mark.parametrize("command", ["check", "partition"])
 @pytest.mark.parametrize("unit", [5, ["days"], True, None], ids=["number", "list", "bool", "null"])
 def test_non_string_unit_is_input_error(capsys, tmp_path, command, unit):
-    doc = json.load(open(QUERIES / "factory.json"))
+    doc = json.loads((QUERIES / "factory.json").read_text())
     doc["unit"] = unit
     code, out, err = run(capsys, command, "--input", write_doc(tmp_path, doc))
     assert code == 2
@@ -357,7 +358,7 @@ def test_non_string_unit_is_input_error(capsys, tmp_path, command, unit):
 
 @pytest.mark.parametrize("command", ["check", "partition"])
 def test_missing_unit_is_valid(capsys, tmp_path, command):
-    doc = json.load(open(QUERIES / "factory.json"))
+    doc = json.loads((QUERIES / "factory.json").read_text())
     del doc["unit"]
     code, out, _ = run(capsys, command, "--input", write_doc(tmp_path, doc))
     assert code == 0
@@ -532,7 +533,7 @@ def test_check_fires_the_rules_of_the_network_entries_at_via(pair):
         Path(path).write_text(json.dumps(doc))
         for p in range(x.length):
             for q in range(y.length):
-                k = _shift_kernel(x, y, p, q)
+                k = _ShiftKernel(x, y, p, q)
                 d = k.decision()
                 assert d == decide(x, y, p, q)
                 if not d.coincides:
@@ -610,6 +611,38 @@ class _ByteCounter(io.TextIOBase):
         return len(s)
 
 
+def _cli_env() -> dict:
+    """The environment for a ``python -m coincide.cli`` child process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def _cli_child(argv, path: str) -> tuple[int, _ByteCounter, int]:
+    """Run ``python -m coincide.cli`` on a document as a child process: its
+    exit code, its stdout in a ``_ByteCounter`` and its peak RSS in KiB."""
+    sink = _ByteCounter()
+    with subprocess.Popen(
+        [sys.executable, "-m", "coincide.cli", *argv, "--input", path],
+        stdout=subprocess.PIPE, env=_cli_env(),
+    ) as proc:
+        for chunk in iter(lambda: proc.stdout.read(2**20), b""):
+            sink.write(chunk.decode("ascii"))
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, sink, usage.ru_maxrss
+
+
+def _cli_rss_growth(tmp_path, argv, durs_x, durs_y) -> tuple[int, _ByteCounter, int]:
+    """``_cli_child`` on ``x = durs_x``, ``y = durs_y``, with its peak RSS
+    less that of the same command on a tiny document, in bytes."""
+    tiny = write_doc(tmp_path, _long_component_doc((1, 1), (2, 1)), "tiny.json")
+    tiny_code, _, tiny_peak = _cli_child(argv, tiny)
+    assert tiny_code == 0
+    code, sink, peak = _cli_child(argv, write_doc(tmp_path, _long_component_doc(durs_x, durs_y)))
+    return code, sink, (peak - tiny_peak) * 1024
+
+
 def _million_slot_network(fmt: str, n: int):
     """The expected output, piece by piece, for x[0] = [0, n) on g = 1."""
     rels = (
@@ -650,15 +683,10 @@ def test_network_of_a_million_slots_is_written_in_full(tmp_path, fmt):
 def test_network_of_a_million_slots_holds_a_few_megabytes(tmp_path):
     # x[0] covers 10^6 one-unit slots: its JSON output alone is 125 MB, so
     # it must leave while it is written.  Text goes through the same loop.
-    path = write_doc(tmp_path, _long_component_doc((10**6, 1), (2, 1)))
-    tracemalloc.start()
-    try:
-        code, sink = _network_to_sink(path, "json")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    argv = ["network", "--side", "x", "--index", "0", "--format", "json"]
+    code, sink, growth = _cli_rss_growth(tmp_path, argv, (10**6, 1), (2, 1))
     assert code == 0 and sink.count > 10**8
-    assert peak < 4 * 2**20
+    assert growth < 4 * 2**20
 
 
 def test_million_slot_reference_is_stdlib_indented_json():
@@ -729,30 +757,21 @@ def test_enumerate_of_a_million_windows_is_written_in_full_as_text(tmp_path):
 def test_enumerate_of_a_million_windows_holds_a_few_megabytes(tmp_path):
     # 1,000,002 windows are 45 MB of JSON, which must leave while it is
     # written: the walk and the writes hold one chunk of windows at a time.
-    # Text goes through the same loop; under tracemalloc each format takes
-    # seconds, so the text output is checked untraced, above.
+    # Text goes through the same loop and is checked in process, above.
     n = 10**6
-    path = write_doc(tmp_path, _long_component_doc((n, 1), (3, 2)))
-    tracemalloc.start()
-    try:
-        code, digest = _enumerate_to_sink(path, "json")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, sink, growth = _cli_rss_growth(tmp_path, ["enumerate", "--format", "json"], (n, 1), (3, 2))
     assert code == 0
-    assert digest == _enumerate_long_x_digest("json", n)
-    assert peak < 4 * 2**20
+    assert (sink.count, sink.head, sink.tail) == _enumerate_long_x_digest("json", n)
+    assert growth < 4 * 2**20
 
 
 @pytest.mark.parametrize("command", [["enumerate"], ["network", "--side", "x", "--index", "0"]])
 def test_a_reader_that_leaves_early_ends_the_run_with_exit_1_and_no_message(tmp_path, command):
     # Megabytes of output into a pipe whose reader closes after 100 bytes.
     path = write_doc(tmp_path, _long_component_doc((10**5, 1), (3, 2)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     with subprocess.Popen(
         [sys.executable, "-m", "coincide.cli", *command, "--input", path],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
     ) as proc:
         assert len(proc.stdout.read(100)) == 100
         proc.stdout.close()
@@ -912,6 +931,30 @@ def test_witness_equals_the_window_scan_on_the_same_shape_cut_down(capsys, tmp_p
     assert code == 0
     first = scan_first_window(sequence("x", *durs_x), sequence("y", *durs_y), 1, 1)
     assert json.loads(out)["witness"] == {"start": first.start, "end": first.end}
+
+
+def _fibonacci(n: int) -> int:
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+def test_witness_and_enumerate_answer_on_consecutive_fibonacci_periods(capsys, tmp_path):
+    # Periods F(1001) and F(1000), 209 digits each: the Euclid-like jump to
+    # the first period that holds a window takes about a thousand levels,
+    # more than Python's default recursion limit.
+    durs_x, durs_y = (1, _fibonacci(1001) - 1), (7, 1, _fibonacci(1000) - 8)
+    x, y = sequence("x", *durs_x), sequence("y", *durs_y)
+    first = scan_first_window(x, y, 0, 1)
+    assert first_coincidence(x, y, 0, 1) == first
+    assert enumerate_coincidences(x, y, 0, 1)[0] == first
+    path = write_doc(tmp_path, _long_component_doc(durs_x, durs_y) | {"q": 1})
+    expected = {"start": first.start, "end": first.end}
+    for command in ("witness", "enumerate"):
+        code, out, _ = run(capsys, command, "--input", path, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["witness"] == expected
 
 
 def _named_doc(x_names, y_names, p, q):

@@ -12,6 +12,7 @@ from coincide import (
     IndexOutOfRange,
     Interval,
     Relation,
+    align_slot,
     allen_relation,
     build_gcd_partition,
     check_pair,
@@ -26,7 +27,7 @@ from coincide import (
     oracle_decide,
     sequence,
 )
-from coincide.coincidence import _entry, _first_hit, _shift_kernel
+from coincide.coincidence import _ShiftKernel, _entry, _first_hit
 from coincide.oracle import project
 from .conftest import (
     dense_walk_queries,
@@ -191,7 +192,7 @@ def test_first_hit_equals_brute_force_on_every_small_modulus():
 @settings(deadline=None)
 @given(dense_walk_queries())
 def test_walk_equals_the_sorted_windows_when_every_period_holds_one(query):
-    k = _shift_kernel(*query)
+    k = _ShiftKernel(*query)
     assert k.hi - k.lo + 1 >= k.part.slots_y
     assert list(k.walk()) == sorted_windows(k)
 
@@ -199,7 +200,7 @@ def test_walk_equals_the_sorted_windows_when_every_period_holds_one(query):
 @settings(deadline=None)
 @given(sparse_walk_queries())
 def test_walk_equals_the_sorted_windows_when_periods_hold_none(query):
-    k = _shift_kernel(*query)
+    k = _ShiftKernel(*query)
     assert k.hi - k.lo + 1 < k.part.slots_y
     assert list(k.walk()) == sorted_windows(k)
 
@@ -207,7 +208,7 @@ def test_walk_equals_the_sorted_windows_when_periods_hold_none(query):
 @settings(deadline=None)
 @given(st.one_of(dense_walk_queries(), sparse_walk_queries(max_long=2**60)))
 def test_walk_starts_at_the_scanned_first_window(query):
-    first = next(_shift_kernel(*query).walk(), None)
+    first = next(_ShiftKernel(*query).walk(), None)
     scanned = scan_first_window(*query)
     assert first == (None if scanned is None else (scanned.start, scanned.end))
 
@@ -240,8 +241,14 @@ def test_kernel_equals_projection_on_every_pair_of_period_at_most_7():
                     assert d.coincides == bool(windows)
                     if d.coincides:
                         # The slot pair whose entries and rules ``check`` reports.
-                        k = _shift_kernel(x, y, p, q)
-                        assert check_pair(*k.via_entries(d.via), k.part.slot_dur)
+                        k = _ShiftKernel(x, y, p, q)
+                        g = k.part.slot_dur
+                        assert check_pair(*k.via_entries(d.via), g)
+                        # The witness is a projected window, and it meets
+                        # the cycle slot where that slot pair aligns.
+                        assert (d.witness.start, d.witness.end) in windows
+                        slot = align_slot(k.part, *d.via)
+                        assert d.witness.start < (slot + 1) * g and slot * g < d.witness.end
                     pairs += 1
     assert pairs == 200_704
 
