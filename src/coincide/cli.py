@@ -17,7 +17,7 @@ from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import itemgetter
 
-from .coincidence import _ShiftKernel, create_network, fired_theorems
+from .coincidence import _Grid, _ShiftKernel, create_network, fired_theorems
 from .intervals import CoincideError
 from .partition import GcdPartition, build_gcd_partition
 from .recurrence import SequenceSpec, resolve_component
@@ -94,7 +94,7 @@ def _load_query(args) -> tuple[_ShiftKernel, str | None]:
         raise ValueError("both 'p' and 'q' must be given (document field or flag)")
     p = resolve_component(x, p_key)
     q = resolve_component(y, q_key)
-    return _ShiftKernel(x, y, p, q), doc.get("unit")
+    return _Grid(x, y).kernel(p, q), doc.get("unit")
 
 
 def _window_obj(start: int, end: int) -> dict:
@@ -169,9 +169,9 @@ def cmd_check(args) -> int:
     doc = {
         "coincides": d.coincides,
         "witness": _window_obj(d.witness.start, d.witness.end) if d.witness else None,
-        **_grid(k.part),
+        **_grid(k.grid.part),
         "method": "gcd-partition",
-        "fired": sorted(fired_theorems(*k.via_entries(d.via), k.part.slot_dur)) if d.via else [],
+        "fired": sorted(fired_theorems(*k.via_entries(d.via), k.grid.g)) if d.via else [],
     }
     _emit(args, doc, unit)
     return 0
@@ -183,7 +183,7 @@ def cmd_witness(args) -> int:
     doc = {
         "coincides": w is not None,
         "witness": _window_obj(*w) if w else None,
-        **_grid(k.part),
+        **_grid(k.grid.part),
         "method": "gcd-partition",
     }
     _emit(args, doc, unit)
@@ -196,7 +196,7 @@ def cmd_enumerate(args) -> int:
     first = next(walk, None)
     head = {"coincides": first is not None, "witness": _window_obj(*first) if first else None}
     # "comparisons" is what projecting the cycle would cost: R * S incidence pairs.
-    tail = {**_grid(k.part), "method": "gcd-partition", "comparisons": k.part.cycle_slots}
+    tail = {**_grid(k.grid.part), "method": "gcd-partition", "comparisons": k.grid.part.cycle_slots}
     write = sys.stdout.write
     if args.format == "json":  # one level deep, indented as _to_json would
         item, sep, close = '{\n      "start": %d,\n      "end": %d\n    }', ",\n    ", "\n  ]"

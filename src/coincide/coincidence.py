@@ -17,10 +17,17 @@ ints, carrying the residue of ``m`` from period to period.  Where periods
 hold no window it jumps to the next that holds one by a Euclid-like
 descent (``_first_hit``) in O(log S).  The earliest window is the walk's
 first item, and ``enumerate`` streams the rest: one step per window, never
-one per slot, and the CLI builds no ``Interval`` per window.  A query
-builds one kernel, so one partition.  ``check``'s witness is placed by
-the CRT step of ``align_slot`` on its witnessing slot pair, whose entries
-it reads from the kernel as well.
+one per slot, and the CLI builds no ``Interval`` per window.
+
+Every pair of an instance shares one slot grid, ``_Grid``: the partition,
+``g``, both sides' offsets and durations, and the CRT inverse
+``R^-1 mod S``, computed on the first witness that needs it.  A kernel
+per pair reads the grid and checks nothing, so public functions and the
+CLI check indices where they enter.  A query builds one grid and one
+kernel; ``verify`` builds one grid per instance for all of its pairs and
+its battery census.  ``check``'s witness is placed on its witnessing slot
+pair by the CRT step that ``align_slot`` runs too (``partition._crt``),
+and it reads that pair's entries from the kernel as well.
 
 The paper's per-period slot networks, its network verdict procedure and
 the qualitative rule battery stay as the explanation layer (``check``
@@ -36,7 +43,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .intervals import Interval, Relation
-from .partition import BadGcd, align_slot, build_gcd_partition
+from .partition import BadGcd, _crt, _inverse, build_gcd_partition
 from .recurrence import SequenceSpec, _check_index
 
 # Relations meaning the slot lies fully inside the component window.  Any
@@ -140,7 +147,12 @@ def create_network(spec: SequenceSpec, g: int, p: int) -> Network:
     _check_index(spec, p)
     if not isinstance(g, int) or isinstance(g, bool) or g < 1 or spec.total_dur % g != 0:
         raise BadGcd(f"slot duration {g!r} does not divide period {spec.total_dur}")
-    a, d = spec.offsets()[p], spec.durs[p]
+    runs = _runs(spec.offsets()[p], spec.durs[p], g)
+    return Network(runs, any(e.rel in SLOT_SUB_COMPONENT for e, _ in runs))
+
+
+def _runs(a: int, d: int, g: int) -> tuple[tuple[NetworkEntry, int], ...]:
+    """The network runs of window ``[a, a + d)`` on ``g``-unit slots, unchecked."""
     first = a // g
     last = (a + d - 1) // g
     runs = [(_entry(a, d, first, g), 1)]
@@ -149,8 +161,7 @@ def create_network(spec: SequenceSpec, g: int, p: int) -> Network:
         runs.append((NetworkEntry(first + 1, Relation.CONTAINS, 0, 0, g), last - first - 1))
     if last > first:
         runs.append((_entry(a, d, last, g), 1))
-    flag = any(e.rel in SLOT_SUB_COMPONENT for e, _ in runs)
-    return Network(tuple(runs), flag)
+    return tuple(runs)
 
 
 def fired_theorems(ex: NetworkEntry, ey: NetworkEntry, g: int) -> set[str]:
@@ -231,24 +242,54 @@ class Decision:
     via: tuple[int, int] | None = None
 
 
+class _Grid:
+    """The slot grid of one instance ``(x, y)``, which every pair's kernel reads.
+
+    It holds the ``GcdPartition``, its slot size ``g`` and both sides'
+    offsets and durations, so a kernel per pair costs no partition and no
+    index check; callers check ``p`` and ``q`` where they come from user
+    input.  The CRT inverse ``R^-1 mod S`` is computed on the first
+    ``align``, so at most once per instance and only when some pair
+    coincides.
+    """
+
+    __slots__ = ("part", "g", "offsets_x", "durs_x", "offsets_y", "durs_y", "_inv")
+
+    def __init__(self, x: SequenceSpec, y: SequenceSpec):
+        self.part = part = build_gcd_partition(x, y)
+        self.g = part.slot_dur
+        self.offsets_x, self.durs_x = x.offsets(), x.durs
+        self.offsets_y, self.durs_y = y.offsets(), y.durs
+        self._inv = None
+
+    def kernel(self, p: int, q: int) -> _ShiftKernel:
+        """The kernel of ``x[p]`` against ``y[q]``; ``p`` and ``q`` must be in range."""
+        return _ShiftKernel(self, p, q)
+
+    def align(self, r: int, s: int) -> int:
+        """``align_slot(self.part, r, s)`` for in-range residues."""
+        inv = self._inv
+        if inv is None:
+            inv = self._inv = _inverse(self.part)
+        return _crt(self.part, inv, r, s)
+
+
 class _ShiftKernel:
-    """One query ``x[p]`` against ``y[q]`` in residue-shift form; see the
-    module docstring.
+    """One query ``x[p]`` against ``y[q]`` in residue-shift form, on the
+    instance's ``grid``; see the module docstring.
 
     ``a``/``dx`` and ``b``/``dy`` are the period-local start and duration
     of ``x[p]`` and ``y[q]``; entry pair ``(r, s)`` overlaps iff
     ``lo <= r - s <= hi``.
     """
 
-    __slots__ = ("part", "a", "dx", "b", "dy", "lo", "hi")
+    __slots__ = ("grid", "a", "dx", "b", "dy", "lo", "hi")
 
-    def __init__(self, x: SequenceSpec, y: SequenceSpec, p: int, q: int):
-        _check_index(x, p)
-        _check_index(y, q)
-        self.part = part = build_gcd_partition(x, y)
-        g = part.slot_dur
-        self.a, self.b = a, b = x.offsets()[p], y.offsets()[q]
-        self.dx, self.dy = dx, dy = x.durs[p], y.durs[q]
+    def __init__(self, grid: _Grid, p: int, q: int):
+        self.grid = grid
+        g = grid.g
+        self.a, self.b = a, b = grid.offsets_x[p], grid.offsets_y[q]
+        self.dx, self.dy = dx, dy = grid.durs_x[p], grid.durs_y[q]
         c = b - a
         self.lo = (-dy - c) // g + 1
         self.hi = (dx - c - 1) // g
@@ -266,7 +307,7 @@ class _ShiftKernel:
         the x incidence ``[xs, xs + dx)`` meets the y incidence that starts
         at ``ys = xs + m * g + c``, which steps by ``S * g`` within a period.
         """
-        part = self.part
+        part = self.grid.part
         g, big_s, lo, hi = part.slot_dur, part.slots_y, self.lo, self.hi
         rg, sg, a, dx, dy = part.slots_x * g, big_s * g, self.a, self.dx, self.dy
         s_lo, s_hi = lo * g + self.b - a, hi * g + self.b - a  # ys - xs at m = lo and m = hi
@@ -301,21 +342,21 @@ class _ShiftKernel:
         """
         if self.lo > self.hi:
             return Decision(False)
-        part, a, b = self.part, self.a, self.b
-        g = part.slot_dur
+        grid, a, b = self.grid, self.a, self.b
+        g = grid.g
         fy = b // g
         r = max(a // g, fy + self.lo)
         s = max(fy, r - self.hi)
         # Cycle slot k is slot r of x's period k // R and slot s of y's
         # period k // S, so those two incidences meet there.
-        k = align_slot(part, r, s)
+        k = grid.align(r, s)
         xs, ys = (k - r) * g + a, (k - s) * g + b
         witness = Interval.from_endpoints(max(xs, ys), min(xs + self.dx, ys + self.dy))
         return Decision(True, witness, (r, s))
 
     def via_entries(self, via: tuple[int, int]) -> tuple[NetworkEntry, NetworkEntry]:
         """The x and y network entries at the overlapping slot pair ``via``."""
-        g = self.part.slot_dur
+        g = self.grid.g
         return _entry(self.a, self.dx, via[0], g), _entry(self.b, self.dy, via[1], g)
 
 
@@ -350,13 +391,20 @@ def _first_hit(a: int, m: int, low: int, high: int) -> int:
     return k
 
 
+def _kernel(x: SequenceSpec, y: SequenceSpec, p: int, q: int) -> _ShiftKernel:
+    """The kernel of a public query, its indices checked."""
+    _check_index(x, p)
+    _check_index(y, q)
+    return _Grid(x, y).kernel(p, q)
+
+
 def decide(x: SequenceSpec, y: SequenceSpec, p: int, q: int) -> Decision:
     """Decide whether components ``x[p]`` and ``y[q]`` ever share a unit.
 
     O(1) on one residue-shift kernel; ``via`` is the first overlapping
     entry pair in the network scan order (``_ShiftKernel.decision``).
     """
-    return _ShiftKernel(x, y, p, q).decision()
+    return _kernel(x, y, p, q).decision()
 
 
 def first_coincidence(x: SequenceSpec, y: SequenceSpec, p: int, q: int) -> Interval | None:
@@ -367,7 +415,7 @@ def first_coincidence(x: SequenceSpec, y: SequenceSpec, p: int, q: int) -> Inter
     never coincide.  It is the first item of ``_ShiftKernel.walk``, found
     in O(log S) by at most one ``_first_hit`` search.
     """
-    first = next(_ShiftKernel(x, y, p, q).walk(), None)
+    first = next(_kernel(x, y, p, q).walk(), None)
     return None if first is None else Interval.from_endpoints(*first)
 
 
@@ -380,7 +428,7 @@ def enumerate_coincidences(
     windows never overlap but can touch, so they are not merged into
     maximal runs.  Equal to ``oracle_decide(...).windows``.
     """
-    return tuple(Interval.from_endpoints(s, e) for s, e in _ShiftKernel(x, y, p, q).walk())
+    return tuple(Interval.from_endpoints(s, e) for s, e in _kernel(x, y, p, q).walk())
 
 
 def network_decide(x: SequenceSpec, y: SequenceSpec, p: int, q: int) -> tuple[bool, int]:

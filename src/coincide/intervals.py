@@ -18,15 +18,18 @@ class CoincideError(Exception):
 class Interval:
     """Half-open span ``[start, start + dur)`` of whole time units.
 
-    ``dur`` must be at least 1: zero-length spans can never witness a
-    coincidence (a shared boundary alone does not count), so they are
-    rejected at construction.
+    ``start`` and ``dur`` are ints, not bools.  ``dur`` must be at least
+    1: zero-length spans can never witness a coincidence (a shared
+    boundary alone does not count), so they are rejected at construction.
     """
 
     start: int
     dur: int
 
     def __post_init__(self) -> None:
+        if type(self.start) is not int or type(self.dur) is not int:
+            got = f"{self.start!r} and {self.dur!r}"
+            raise ValueError(f"interval start and duration must be integers, got {got}")
         if self.dur < 1:
             raise ValueError(f"interval duration must be >= 1, got {self.dur}")
 

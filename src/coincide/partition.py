@@ -53,13 +53,24 @@ def align_slot(part: GcdPartition, r: int, s: int) -> int:
     """The unique cycle slot k with k = r (mod R) and k = s (mod S).
 
     Existence and uniqueness on ``[0, R*S)`` follow from R and S being
-    coprime.
+    coprime; a hand-built partition whose R and S are not raises
+    ``BadGcd``.
     """
     big_r, big_s = part.slots_x, part.slots_y
     for name, v, bound in (("r", r, big_r), ("s", s, big_s)):
         if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < bound:
             raise IndexOutOfRange(f"slot residue {name}={v!r} out of range [0, {bound})")
-    inv = pow(big_r, -1, big_s)
-    t = ((s - r) * inv) % big_s
-    return r + big_r * t
+    return _crt(part, _inverse(part), r, s)
 
+
+def _inverse(part: GcdPartition) -> int:
+    """``R^-1 mod S``, the one modular inverse of the CRT step."""
+    try:
+        return pow(part.slots_x, -1, part.slots_y)
+    except ValueError:
+        raise BadGcd(f"slot counts R={part.slots_x} and S={part.slots_y} are not coprime") from None
+
+
+def _crt(part: GcdPartition, inv: int, r: int, s: int) -> int:
+    """The CRT step of ``align_slot`` for in-range residues, given ``inv = R^-1 mod S``."""
+    return r + part.slots_x * ((s - r) * inv % part.slots_y)

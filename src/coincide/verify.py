@@ -3,11 +3,14 @@
 Every random instance is checked for every component pair: the grid
 verdict must match the projection verdict and every emitted witness must
 be one of the projection's windows, looked up by binary search in its
-ascending ``(start, end)`` spans.  One projection sweep per instance,
-``oracle.project``, gives the windows of every pair at once: the
-components of each side tile its period, and each piece of the overlay
-of the two tilings is one window of one pair, so the sweep takes at most
-``n_x * S + n_y * R`` steps for all ``n_x * n_y`` pairs.
+ascending ``(start, end)`` spans.  The verdicts come from one slot grid
+per instance (``coincidence._Grid``): each pair's decision is
+``grid.kernel(p, q).decision()``, the code the CLI's ``check`` runs,
+with no partition, inverse or index check of its own.  One projection
+sweep per instance, ``oracle.project``, gives the windows of every pair
+at once: the components of each side tile its period, and each piece of
+the overlay of the two tilings is one window of one pair, so the sweep
+takes at most ``n_x * S + n_y * R`` steps for all ``n_x * n_y`` pairs.
 
 Optionally the rule battery is censused on every entry pair, counting
 soundness violations (a rule fired but ``check_pair`` finds no overlap:
@@ -16,16 +19,17 @@ but no rule fired: expected, reported as a census only).  The rules read
 only an entry's shape (relation, left gap, right gap), never its slot or
 component, so the census evaluates each distinct pair of shapes of an
 instance once and counts it for every entry pair, across all component
-pairs, that it stands for.
+pairs, that it stands for.  It reads ``g`` and every component's network
+runs from the instance's grid, by the run builder ``create_network``
+uses, without ``create_network``'s checks of ``p`` and ``g``.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .coincidence import check_pair, create_network, decide, fired_theorems
+from .coincidence import _Grid, _runs, check_pair, fired_theorems
 from .oracle import project
-from .partition import build_gcd_partition
 from .randgen import SplitMix64, random_instance
 
 
@@ -76,15 +80,19 @@ def _check_run_args(trials: int, seed: int) -> None:
 def run_verification(trials: int, seed: int, include_battery: bool = True) -> VerifyReport:
     """Check ``trials`` seeded random instances on every component pair."""
     _check_run_args(trials, seed)
+    if not isinstance(include_battery, bool):
+        raise ValueError(f"include_battery must be a bool, got {include_battery!r}")
     rng = SplitMix64(seed)
     report = VerifyReport(trials=trials, seed=seed)
     for t in range(trials):
         x, y = random_instance(rng)
         spans = project(x, y)
+        grid = _Grid(x, y)
+        kernel = grid.kernel
         for p in range(x.length):
             for q in range(y.length):
                 report.pairs_checked += 1
-                d = decide(x, y, p, q)
+                d = kernel(p, q).decision()
                 windows = spans[p][q]
                 if d.coincides != bool(windows):
                     report.mismatches += 1
@@ -99,7 +107,7 @@ def run_verification(trials: int, seed: int, include_battery: bool = True) -> Ve
                         f"not among projection windows"
                     )
         if include_battery:
-            _battery_census(report, x, y)
+            _battery_census(report, grid)
     return report
 
 
@@ -110,7 +118,7 @@ def _has_span(spans, w) -> bool:
     return i < len(spans) and spans[i] == span
 
 
-def _shapes(spec, g):
+def _shapes(offsets, durs, g):
     """The distinct entry shapes of one side's networks, across components.
 
     ``fired_theorems`` and ``check_pair`` read an entry's ``rel``,
@@ -121,8 +129,8 @@ def _shapes(spec, g):
     one ``(component, slots)`` group per network run of that shape.
     """
     shapes = {}
-    for p in range(spec.length):
-        for e, count in create_network(spec, g, p).runs:
+    for p, (a, d) in enumerate(zip(offsets, durs)):
+        for e, count in _runs(a, d, g):
             key = (e.rel, e.left_gap, e.right_gap)
             shape = shapes.get(key)
             if shape is None:
@@ -132,7 +140,7 @@ def _shapes(spec, g):
     return list(shapes.values())
 
 
-def _battery_census(report, x, y):
+def _battery_census(report, grid):
     """Evaluate the rule battery on every entry pair of every component pair.
 
     Each distinct pair of entry shapes is evaluated once and counted once
@@ -140,8 +148,9 @@ def _battery_census(report, x, y):
     every one of those entry pairs, with its components and real slots,
     in ``(p, q, r, s)`` order.
     """
-    g = build_gcd_partition(x, y).slot_dur
-    shapes_x, shapes_y = _shapes(x, g), _shapes(y, g)
+    g = grid.g
+    shapes_x = _shapes(grid.offsets_x, grid.durs_x, g)
+    shapes_y = _shapes(grid.offsets_y, grid.durs_y, g)
     report.battery_pairs += sum(n for _, n, _ in shapes_x) * sum(n for _, n, _ in shapes_y)
     violations = []
     for ex, nx, groups_x in shapes_x:
@@ -189,10 +198,11 @@ def run_commutativity(trials: int, seed: int) -> CommutativityReport:
     for _ in range(trials):
         x, y = random_instance(rng)
         fwd, rev = project(x, y), project(y, x)
+        kernel_fwd, kernel_rev = _Grid(x, y).kernel, _Grid(y, x).kernel
         for p in range(x.length):
             for q in range(y.length):
                 report.pairs_checked += 1
-                if decide(x, y, p, q).coincides != decide(y, x, q, p).coincides:
+                if kernel_fwd(p, q).decision().coincides != kernel_rev(q, p).decision().coincides:
                     report.verdict_disagreements += 1
                 if set(fwd[p][q]) != set(rev[q][p]):
                     report.window_set_mismatches += 1

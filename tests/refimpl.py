@@ -17,6 +17,7 @@ from coincide import (
 from coincide.coincidence import (
     SLOT_SUB_COMPONENT,
     NetworkEntry,
+    _Grid,
     _ShiftKernel,
     create_network,
     fired_theorems,
@@ -100,7 +101,7 @@ def window(k: _ShiftKernel, m: int) -> tuple[int, int]:
     difference ``m``, placed by its own modular inverse: x's period ``n``
     meets y's period ``n'`` at this shift iff ``n' * S - n * R = m``, so
     ``n = -m * R^-1 (mod S)``."""
-    part = k.part
+    part = k.grid.part
     n = (-m * pow(part.slots_x, -1, part.slots_y)) % part.slots_y
     xs = n * part.slots_x * part.slot_dur + k.a
     ys = xs + m * part.slot_dur + k.b - k.a
@@ -116,7 +117,7 @@ def sorted_windows(k: _ShiftKernel) -> list[tuple[int, int]]:
 def scan_first_window(x: SequenceSpec, y: SequenceSpec, p: int, q: int) -> Interval | None:
     """Earliest shared window by scanning every window of the kernel, one
     step per admissible slot difference."""
-    k = _ShiftKernel(x, y, p, q)
+    k = _Grid(x, y).kernel(p, q)
     first = min((window(k, m) for m in range(k.lo, k.hi + 1)), default=None)
     return None if first is None else Interval.from_endpoints(*first)
 

@@ -35,7 +35,7 @@ from coincide import (
 )
 from coincide.bench import run_bench
 from coincide.cli import _parse_sequence, _to_json, main
-from coincide.coincidence import _ShiftKernel
+from coincide.coincidence import _Grid, _ShiftKernel
 from .conftest import sequence_pairs
 from .refimpl import scan_first_window, walk_sequence
 
@@ -533,7 +533,7 @@ def test_check_fires_the_rules_of_the_network_entries_at_via(pair):
         Path(path).write_text(json.dumps(doc))
         for p in range(x.length):
             for q in range(y.length):
-                k = _ShiftKernel(x, y, p, q)
+                k = _Grid(x, y).kernel(p, q)
                 d = k.decision()
                 assert d == decide(x, y, p, q)
                 if not d.coincides:

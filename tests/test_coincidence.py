@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coincide.coincidence
 from coincide import (
     IndexOutOfRange,
     Interval,
@@ -27,7 +28,7 @@ from coincide import (
     oracle_decide,
     sequence,
 )
-from coincide.coincidence import _ShiftKernel, _entry, _first_hit
+from coincide.coincidence import _Grid, _entry, _first_hit, _kernel
 from coincide.oracle import project
 from .conftest import (
     dense_walk_queries,
@@ -126,6 +127,72 @@ def test_decide_index_errors(weekday, machine):
         decide(weekday, machine, 0, 2)
 
 
+_OUT_OF_RANGE = "component index {} out of range for sequence {!r} with {} components (valid: 0..{})"
+
+
+@pytest.mark.parametrize(
+    "query", [decide, first_coincidence, enumerate_coincidences, network_decide, oracle_decide]
+)
+@pytest.mark.parametrize(
+    "p, q, message",
+    [
+        (7, 0, _OUT_OF_RANGE.format(7, "weekday", 7, 6)),
+        (-1, 0, _OUT_OF_RANGE.format(-1, "weekday", 7, 6)),
+        (0, 2, _OUT_OF_RANGE.format(2, "machine", 2, 1)),
+        (0, -3, _OUT_OF_RANGE.format(-3, "machine", 2, 1)),
+        (True, 0, "component index must be an integer, got True"),
+        (0, False, "component index must be an integer, got False"),
+        ("1", 0, "component index must be an integer, got '1'"),
+        (0, 1.0, "component index must be an integer, got 1.0"),
+    ],
+)
+def test_public_queries_check_their_indices(weekday, machine, query, p, q, message):
+    # A kernel checks no index; every public entry point checks both.
+    with pytest.raises(IndexOutOfRange) as exc:
+        query(weekday, machine, p, q)
+    assert str(exc.value) == message
+
+
+@settings(deadline=None)
+@given(sequence_pairs(max_components=6, max_dur=12))
+def test_grid_kernels_answer_as_the_public_queries(pair):
+    # One grid serves every pair of the instance, its inverse shared.
+    x, y = pair
+    grid = _Grid(x, y)
+    g = grid.g
+    assert grid.part == build_gcd_partition(x, y)
+    for p in range(x.length):
+        for q in range(y.length):
+            k = grid.kernel(p, q)
+            d = k.decision()
+            assert d == decide(x, y, p, q)
+            windows = tuple(Interval.from_endpoints(s, e) for s, e in k.walk())
+            assert windows == enumerate_coincidences(x, y, p, q)
+            assert (windows[0] if windows else None) == first_coincidence(x, y, p, q)
+            if d.coincides:
+                r, s = d.via
+                assert k.via_entries(d.via) == (_entry_at(x, g, p, r), _entry_at(y, g, q, s))
+
+
+def test_grid_computes_its_inverse_once_and_only_for_a_coincidence(monkeypatch, weekday):
+    inverses = []
+    inverse = coincide.coincidence._inverse
+
+    def counted_inverse(part):
+        inverses.append(part)
+        return inverse(part)
+
+    monkeypatch.setattr(coincide.coincidence, "_inverse", counted_inverse)
+    grid = _Grid(weekday, sequence("rest", 5, 3))
+    # Every day against the 3-unit rest of an 8-unit machine cycle: g = 1,
+    # so each pair coincides, and all seven witnesses share one inverse.
+    assert [grid.kernel(p, 1).decision().coincides for p in range(7)] == [True] * 7
+    assert len(inverses) == 1
+    never = _Grid(sequence("x", 2, 2), sequence("y", 2, 2))
+    assert not never.kernel(0, 1).decision().coincides
+    assert inverses == [grid.part]
+
+
 def test_first_coincidence_examples(weekday, machine, machine_short_rest, pl1, pl2):
     assert first_coincidence(weekday, machine, 2, 1) == Interval(23, 1)
     assert first_coincidence(pl1, pl2, 0, 1) == Interval(2, 1)
@@ -192,23 +259,23 @@ def test_first_hit_equals_brute_force_on_every_small_modulus():
 @settings(deadline=None)
 @given(dense_walk_queries())
 def test_walk_equals_the_sorted_windows_when_every_period_holds_one(query):
-    k = _ShiftKernel(*query)
-    assert k.hi - k.lo + 1 >= k.part.slots_y
+    k = _kernel(*query)
+    assert k.hi - k.lo + 1 >= k.grid.part.slots_y
     assert list(k.walk()) == sorted_windows(k)
 
 
 @settings(deadline=None)
 @given(sparse_walk_queries())
 def test_walk_equals_the_sorted_windows_when_periods_hold_none(query):
-    k = _ShiftKernel(*query)
-    assert k.hi - k.lo + 1 < k.part.slots_y
+    k = _kernel(*query)
+    assert k.hi - k.lo + 1 < k.grid.part.slots_y
     assert list(k.walk()) == sorted_windows(k)
 
 
 @settings(deadline=None)
 @given(st.one_of(dense_walk_queries(), sparse_walk_queries(max_long=2**60)))
 def test_walk_starts_at_the_scanned_first_window(query):
-    first = next(_ShiftKernel(*query).walk(), None)
+    first = next(_kernel(*query).walk(), None)
     scanned = scan_first_window(*query)
     assert first == (None if scanned is None else (scanned.start, scanned.end))
 
@@ -241,13 +308,13 @@ def test_kernel_equals_projection_on_every_pair_of_period_at_most_7():
                     assert d.coincides == bool(windows)
                     if d.coincides:
                         # The slot pair whose entries and rules ``check`` reports.
-                        k = _ShiftKernel(x, y, p, q)
-                        g = k.part.slot_dur
+                        k = _Grid(x, y).kernel(p, q)
+                        g = k.grid.g
                         assert check_pair(*k.via_entries(d.via), g)
                         # The witness is a projected window, and it meets
                         # the cycle slot where that slot pair aligns.
                         assert (d.witness.start, d.witness.end) in windows
-                        slot = align_slot(k.part, *d.via)
+                        slot = align_slot(k.grid.part, *d.via)
                         assert d.witness.start < (slot + 1) * g and slot * g < d.witness.end
                     pairs += 1
     assert pairs == 200_704

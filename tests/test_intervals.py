@@ -19,6 +19,14 @@ def test_interval_rejects_non_positive_duration():
         Interval(3, -1)
 
 
+@pytest.mark.parametrize(
+    "start, dur", [(0.5, 2), (True, 1), (0, 1.5), (0, True), (False, 2), (2.0, 1), ("0", 1), (0, None)]
+)
+def test_interval_rejects_non_int_endpoints(start, dur):
+    with pytest.raises(ValueError, match="must be integers"):
+        Interval(start, dur)
+
+
 def test_interval_end_and_str():
     assert iv(2, 5).end == 5
     assert str(iv(2, 5)) == "[2, 5)"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 
 from coincide import (
+    BadGcd,
     GcdPartition,
     IndexOutOfRange,
     Interval,
@@ -41,6 +42,12 @@ def test_align_range_errors():
         align_slot(part, 7, 0)
     with pytest.raises(IndexOutOfRange):
         align_slot(part, 0, 8)
+
+
+@pytest.mark.parametrize("part", [GcdPartition(1, 4, 6), GcdPartition(2, 9, 3), GcdPartition(1, 2, 2)])
+def test_align_on_a_partition_whose_slot_counts_are_not_coprime_raises_bad_gcd(part):
+    with pytest.raises(BadGcd, match="not coprime"):
+        align_slot(part, 0, 1)
 
 
 @pytest.mark.parametrize("r, s", [(True, False), (False, 0), (0, True), (1.0, 0), (0, "1")])

@@ -1,14 +1,16 @@
 from __future__ import annotations
 
 import re
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 
+import coincide.coincidence
 import coincide.verify
 from coincide import Decision, Interval, oracle_decide, sequence
 from coincide.bench import run_bench
-from coincide.coincidence import create_network
+from coincide.coincidence import _Grid, create_network
 from coincide.partition import build_gcd_partition
 from coincide.randgen import SplitMix64, random_instance
 from coincide.verify import VerifyReport, _battery_census, run_commutativity, run_verification
@@ -29,8 +31,20 @@ def _census_fields(report):
 
 def _grouped_census(x, y):
     report = VerifyReport(trials=1, seed=0)
-    _battery_census(report, x, y)
+    _battery_census(report, _Grid(x, y))
     return report
+
+
+def _patch_decisions(monkeypatch, change):
+    """Replace the decision ``d`` that ``verify`` reads for pair ``(p, q)``,
+    from ``grid.kernel(p, q).decision()``, by ``change(d, p, q)``."""
+    kernel = _Grid.kernel
+
+    def changed_kernel(grid, p, q):
+        d = change(kernel(grid, p, q).decision(), p, q)
+        return SimpleNamespace(decision=lambda: d)
+
+    monkeypatch.setattr(_Grid, "kernel", changed_kernel)
 
 
 def test_verification_small_run_passes():
@@ -150,18 +164,23 @@ def test_runs_reject_a_non_integer_trials_or_seed(run, trials, seed):
         run(trials=trials, seed=seed)
 
 
+@pytest.mark.parametrize("include_battery", ["no", "", 1, 0, None])
+def test_verification_rejects_a_non_bool_include_battery(monkeypatch, include_battery):
+    # Rejected before any instance is drawn, so a truthy "no" runs no census.
+    monkeypatch.setattr(coincide.verify, "random_instance", None)
+    with pytest.raises(ValueError, match="include_battery must be a bool"):
+        run_verification(trials=1, seed=1, include_battery=include_battery)
+
+
 @pytest.mark.parametrize("stretch", [-1, 1])
 def test_verification_reports_a_witness_that_is_not_a_projection_window(monkeypatch, stretch):
     # A witness sharing a window's start but not its end is not that window.
-    decide = coincide.verify.decide
-
-    def off_by_one(x, y, p, q):
-        d = decide(x, y, p, q)
+    def off_by_one(d, p, q):
         if d.witness is None or d.witness.dur + stretch < 1:
             return d
         return Decision(True, Interval(d.witness.start, d.witness.dur + stretch), d.via)
 
-    monkeypatch.setattr(coincide.verify, "decide", off_by_one)
+    _patch_decisions(monkeypatch, off_by_one)
     report = run_verification(20, 42, include_battery=False)
     assert report.witness_errors > 0 and not report.passed
     assert report.witness_errors == sum("not among projection windows" in f for f in report.failures)
@@ -189,6 +208,34 @@ def test_verification_projects_once_per_instance(monkeypatch):
     assert len(sweeps) == 30
 
 
+def test_verification_builds_one_grid_per_instance(monkeypatch):
+    # One partition per instance serves every pair and the census.  Both
+    # sides tile the cycle, so some pair coincides, and the CRT inverse its
+    # witness needs is computed once for all of them.
+    partitions, inverses = [], []
+    build, inverse = coincide.coincidence.build_gcd_partition, coincide.coincidence._inverse
+
+    def counted_build(x, y):
+        partitions.append((x, y))
+        return build(x, y)
+
+    def counted_inverse(part):
+        inverses.append(part)
+        return inverse(part)
+
+    monkeypatch.setattr(coincide.coincidence, "build_gcd_partition", counted_build)
+    monkeypatch.setattr(coincide.coincidence, "_inverse", counted_inverse)
+    pairs = 0
+    for seed in range(20):
+        partitions.clear()
+        inverses.clear()
+        report = run_verification(1, seed)
+        assert report.passed
+        assert len(partitions) == len(inverses) == 1
+        pairs += report.pairs_checked
+    assert pairs > 20
+
+
 _FAILURE = re.compile(r"trial (\d+): (verdict mismatch|witness) .*?at \(p=(\d+), q=(\d+)\)")
 
 
@@ -196,17 +243,15 @@ def test_verification_reports_flipped_verdicts_in_pair_order(monkeypatch):
     # Every pair with p + q even gets the opposite verdict.  A flipped
     # negative comes with a witness that cannot be a projection window, so
     # its pair also has a witness line, after its mismatch line.
-    decide = coincide.verify.decide
     flipped = []
 
-    def flip_some(x, y, p, q):
-        d = decide(x, y, p, q)
+    def flip_some(d, p, q):
         if (p + q) % 2:
             return d
         flipped.append(d.coincides)
         return Decision(False) if d.coincides else Decision(True, Interval(-2, 1), (0, 0))
 
-    monkeypatch.setattr(coincide.verify, "decide", flip_some)
+    _patch_decisions(monkeypatch, flip_some)
     report = run_verification(30, 42, include_battery=False)
     assert not report.passed
     assert report.mismatches == len(flipped)
